@@ -102,8 +102,16 @@ def write_json(path: str, command: str, cfg: dict, seed: int,
 
 
 def _activation_from(doc: dict) -> ActivationSpec:
-    return activation(doc["activation"], coeffs=doc.get("coeffs"),
-                      ratio=doc.get("ratio"))
+    try:
+        return activation(doc["activation"], coeffs=doc.get("coeffs"),
+                          ratio=doc.get("ratio"))
+    except ValueError as exc:
+        raise ConfigError(f"activation {doc['activation']!r}: {exc}") from exc
+
+
+def _override(value, cfg: dict, key: str, default):
+    """A command-line override if one was given, else the config's value."""
+    return value if value is not None else cfg.get(key, default)
 
 
 def kernel_from_config(doc: dict) -> KernelSpec:
@@ -123,7 +131,7 @@ def _table_for(spec: KernelSpec, k_max: int):
 
 def cmd_spectrum(cfg: dict, out: str, seed: int, args) -> int:
     spec = kernel_from_config(cfg["kernel"])
-    k_max = args.kmax or cfg.get("k_max", spec.trunc.k_max)
+    k_max = _override(args.kmax, cfg, "k_max", spec.trunc.k_max)
     table = _table_for(spec, k_max)
     entries = enumerate_spectrum(spec, table, k_max)
     rows = [(rank + 1, e.mu, e.multiplicity,
@@ -165,8 +173,8 @@ def _json_path(out: str) -> str:
 
 def cmd_reconstruct(cfg: dict, out: str, seed: int, args) -> int:
     spec = kernel_from_config(cfg["kernel"])
-    k_max = args.kmax or cfg.get("k_max", spec.trunc.k_max)
-    tol = args.tolerance or cfg.get("tolerance", 1e-5)
+    k_max = _override(args.kmax, cfg, "k_max", spec.trunc.k_max)
+    tol = _override(args.tolerance, cfg, "tolerance", 1e-5)
     pairs = int(cfg.get("pairs", 100))
     table = _table_for(spec, k_max)
     expansion = SpectralExpansion(spec, table, k_max)
@@ -237,7 +245,7 @@ def cmd_learning_curve(cfg: dict, out: str, seed: int, args) -> int:
 
 def cmd_gram_eig(cfg: dict, out: str, seed: int, args) -> int:
     spec = kernel_from_config(cfg["kernel"])
-    k_max = args.kmax or cfg.get("k_max", spec.trunc.k_max)
+    k_max = _override(args.kmax, cfg, "k_max", spec.trunc.k_max)
     ell = int(cfg.get("ell", 2000))
     top_k = int(cfg.get("top_k", 10))
     table = _table_for(spec, k_max)
@@ -260,7 +268,10 @@ def cmd_cnn_label(cfg: dict, out: str, seed: int, args) -> int:
         r = int(doc["r"])
         xs = []
         for path in doc["paths"]:
-            img = load_image(path)
+            try:
+                img = load_image(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read image {path}: {exc}") from exc
             locs = doc.get("locations")
             if locs is None:
                 locs = grid_locations(img.h, img.w, r, doc.get("stride"))
@@ -318,6 +329,11 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        # the same limits the schemas put on k_max and tolerance
+        if args.kmax is not None and args.kmax < 1:
+            raise ConfigError("--kmax must be >= 1")
+        if args.tolerance is not None and not args.tolerance > 0.0:
+            raise ConfigError("--tolerance must be > 0")
         cfg = load_config(args.config, args.command)
         return COMMANDS[args.command](cfg, args.out, args.seed, args)
     except ConfigError as exc:

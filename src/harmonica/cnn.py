@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, activation, evaluate
+from .activations import evaluate
 from .errors import StructuralError
 from .image import PatchedImage
 
@@ -129,17 +129,13 @@ def forward(params: NetworkParams, activations: list, x: PatchedImage) -> float:
     state = x.patches  # (n_k, d_k * p_k)
     for k in range(N):
         pre = state @ params.weights[k].T          # (n_k, p_{k+1})
-        post = evaluate_activation_matrix(activations[k], pre)
+        post = np.asarray(evaluate(activations[k], pre), dtype=float)
         pooled = params.poolings[k] @ post          # (n_k, p_{k+1})
         if k < N - 1:
             state = _extract(pooled, params.d_sizes[k + 1], params.boundary)
         else:
             state = pooled.reshape(-1)              # d_{N+1} = n_N, one patch
     return float(np.dot(state, params.w_out))
-
-
-def evaluate_activation_matrix(spec: ActivationSpec, a: np.ndarray) -> np.ndarray:
-    return np.asarray(evaluate(spec, a), dtype=float)
 
 
 def identity_pooling(n: int) -> np.ndarray:
@@ -222,6 +218,3 @@ def params_to_json(params: NetworkParams) -> str:
 def params_from_json(text: str) -> NetworkParams:
     return params_from_dict(json.loads(text))
 
-
-def activation_list(names) -> list:
-    return [activation(nm) if isinstance(nm, str) else nm for nm in names]

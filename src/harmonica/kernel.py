@@ -1,9 +1,14 @@
 """Construction and evaluation of the multi-layer kernel.
 
 The kernel is g(sum_i f1(<x_i, y_i>)) with f1 the innermost majorant series
-and g the composed chain of the outer majorants. Evaluation goes through the
-scalar series; the spectral route lives in `spectrum` and the two are
-cross-checked by the Mercer reconstruction tests.
+and g the composed chain of the outer majorants. `eval_kernel`, `gram`,
+`cross_gram` and `KernelSpec.diag_value` all evaluate it through one
+function, `_kernel_values`, which takes the inner products patch by patch.
+Its Horner passes (`eval_series`) stop at each series' last nonzero
+coefficient, so padding f1 or g to a larger order changes no bit of any
+value. Gram matrices take each patch's inner products from one matrix
+product, never from an (a, b, n) tensor. The spectral route lives in
+`spectrum` and the two are cross-checked by the Mercer reconstruction tests.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ class KernelSpec:
 
     def diag_value(self) -> float:
         """K(x, x) = g(n * f1(1)) for any unit-patch input."""
-        return float(eval_series(self.g, self.n * eval_series(self.f1, 1.0)))
+        return float(_kernel_values(self, np.ones(self.n)))
 
 
 def build_kernel(acts: list, n: int, d: int,
@@ -129,38 +134,44 @@ def _composed_degree(acts: list) -> float:
     return prod
 
 
-def _inner_products(x: PatchedImage, y: PatchedImage) -> np.ndarray:
-    if x.n != y.n or x.d != y.d:
-        raise StructuralError(
-            f"patch layout mismatch: ({x.n},{x.d}) vs ({y.n},{y.d})")
-    t = np.einsum("nd,nd->n", x.patches, y.patches)
-    return np.clip(t, -1.0, 1.0)
+def _kernel_values(spec: KernelSpec, products):
+    """g(sum_p f1(t_p)) from the inner products t_p of each patch p.
+
+    ``products`` yields one array (or scalar) per patch, all of one shape;
+    an (n, ...) array qualifies. Inner products are clipped to [-1, 1].
+    """
+    s = 0.0
+    for t in products:
+        s = s + eval_series(spec.f1, np.clip(t, -1.0, 1.0))
+    return eval_series(spec.g, s)
 
 
 def eval_kernel(spec: KernelSpec, x: PatchedImage, y: PatchedImage) -> float:
-    if x.n != spec.n or x.d != spec.d:
-        raise StructuralError(
-            f"input ({x.n},{x.d}) does not match kernel ({spec.n},{spec.d})")
-    t = _inner_products(x, y)
-    s = float(np.sum(eval_series(spec.f1, t)))
-    return float(eval_series(spec.g, s))
+    for z in (x, y):
+        if z.n != spec.n or z.d != spec.d:
+            raise StructuralError(
+                f"input ({z.n},{z.d}) does not match kernel ({spec.n},{spec.d})")
+    return float(_kernel_values(spec, np.einsum("nd,nd->n", x.patches, y.patches)))
+
+
+def _stack(spec: KernelSpec, xs: list) -> np.ndarray:
+    a = stack_patches(xs)
+    if a.shape[1:] != (spec.n, spec.d):
+        raise StructuralError("inputs do not match kernel patch layout")
+    return a
 
 
 def gram(spec: KernelSpec, xs: list) -> np.ndarray:
     """Symmetric Gram matrix G[i][j] = K(xs[i], xs[j])."""
-    G = cross_gram(spec, xs, xs)
-    return 0.5 * (G + G.T)  # exact symmetry despite float reduction order
+    a = _stack(spec, xs)
+    G = _kernel_values(spec, (a[:, p] @ a[:, p].T for p in range(spec.n)))
+    return 0.5 * (G + G.T)  # exact symmetry whatever order BLAS sums in
 
 
 def cross_gram(spec: KernelSpec, xs: list, ys: list) -> np.ndarray:
-    """K(xs[i], ys[j]) assembled vectorized over all pairs."""
-    a = stack_patches(xs)
-    b = stack_patches(ys)
-    if a.shape[1:] != (spec.n, spec.d) or b.shape[1:] != (spec.n, spec.d):
-        raise StructuralError("inputs do not match kernel patch layout")
-    t = np.clip(np.einsum("apd,bpd->abp", a, b), -1.0, 1.0)
-    s = np.polynomial.polynomial.polyval(t, spec.f1.asarray()).sum(axis=-1)
-    return np.polynomial.polynomial.polyval(s, spec.g.asarray())
+    """K(xs[i], ys[j]) for all pairs, one matrix product per patch."""
+    a, b = _stack(spec, xs), _stack(spec, ys)
+    return _kernel_values(spec, (a[:, p] @ b[:, p].T for p in range(spec.n)))
 
 
 def constant_kernel(value: float, n: int, d: int,

@@ -43,18 +43,27 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Dual coefficients of one RLS solve plus the inputs they refer to."""
+    """Dual coefficients of one RLS solve plus the inputs they refer to.
+
+    ``fitted`` holds the fit's values at those inputs, G c, taken from the
+    Gram the solve already built.
+    """
 
     coeffs: np.ndarray
     lam: float
     xs: tuple
+    fitted: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.size != len(self.xs):
-            raise ValueError("coefficient count must match training size")
+        f = np.asarray(self.fitted, dtype=float)
+        if c.size != len(self.xs) or f.size != len(self.xs):
+            raise ValueError("coefficient and fitted counts must match "
+                             "training size")
         c.flags.writeable = False
+        f.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "fitted", f)
 
 
 def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
@@ -76,7 +85,7 @@ def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
             raise SolverError(
                 f"Gram factorization failed even with jitter {jitter:.3e} "
                 f"(cond ~ {cond:.3e})", condition=cond) from exc
-    return FitResult(coeffs=c, lam=lam, xs=data.xs)
+    return FitResult(coeffs=c, lam=lam, xs=data.xs, fitted=G @ c)
 
 
 def predict(spec: KernelSpec, fit: FitResult, xs) -> np.ndarray:
@@ -135,12 +144,12 @@ def nystrom_eigs(spec: KernelSpec, ell: int, top_k: int, seed) -> np.ndarray:
     integral operator under the unnormalized product measure, i.e. the
     kappa^n-corrected closed-form values.
     """
-    if ell < top_k:
-        raise ValueError("need ell >= top_k")
+    if not 0 < top_k <= ell:
+        raise ValueError("need 0 < top_k <= ell")
     xs = sample_uniform_batch(ell, spec.n, spec.d, seed)
     G = gram(spec, xs)
-    eigs = eigvalsh(G)[::-1]
-    return eigs[:top_k] * sphere_surface(spec.d) ** spec.n / ell
+    eigs = eigvalsh(G, subset_by_index=[ell - top_k, ell - 1])[::-1]
+    return eigs * sphere_surface(spec.d) ** spec.n / ell
 
 
 def closed_form_top_eigs(spec: KernelSpec, table: LambdaTable, entries: list,
@@ -231,7 +240,7 @@ def learning_curve(spec: KernelSpec, target, s: Schedule, sizes, test_size,
         return {
             "ell": ell,
             "lambda": lam,
-            "train_mse": mse(predict(spec, fit, train), data.ys),
+            "train_mse": mse(fit.fitted, data.ys),
             "test_mse": mse(predict(spec, fit, test),
                             apply_target(target, test)),
         }

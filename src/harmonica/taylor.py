@@ -243,11 +243,21 @@ def compose_series(outer: CoeffSeries, inner: CoeffSeries, order: int,
 
 
 def eval_series(a: CoeffSeries, t):
-    """Horner evaluation sum_m a[m] t^m; accepts scalars or arrays."""
+    """Horner evaluation sum_m a[m] t^m; accepts scalars or arrays.
+
+    Horner starts at the last nonzero coefficient. For finite t the trailing
+    zeros of a padded series would only add exact zeros, so a series padded
+    to any order gives bitwise the values of the same series at its degree.
+    """
+    coeffs = a.coeffs[: (a.degree() or 0) + 1]
     if np.isscalar(t):
-        acc = 0.0
-        for c in reversed(a.coeffs):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
             acc = acc * t + c
         return acc
-    return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float),
-                                            a.asarray())
+    t = np.asarray(t, dtype=float)
+    acc = np.full(t.shape, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc *= t
+        acc += c
+    return acc

@@ -193,3 +193,34 @@ def test_config_a_max_guard(tmp_path):
            "k_max": 4}
     rc, _ = run(tmp_path, "spectrum", cfg)
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("extra", [("--kmax", "0"), ("--kmax", "-2"),
+                                   ("--tolerance", "0"),
+                                   ("--tolerance", "-0.001")])
+def test_out_of_range_overrides_refused(tmp_path, extra):
+    # an explicit 0 is an override, and the schema limits apply to it
+    cfg = {"kernel": KERNEL_EI, "k_max": 4, "pairs": 2}
+    rc, out = run(tmp_path, "reconstruct", cfg, extra=extra)
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_poly_layer_without_coeffs_is_config_error(tmp_path):
+    cfg = {"kernel": {"layers": [{"activation": "exp"},
+                                 {"activation": "poly"}], "n": 1, "d": 3},
+           "k_max": 4}
+    rc, out = run(tmp_path, "spectrum", cfg)
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_cnn_label_missing_image_is_config_error(tmp_path):
+    cfg = {"network": {"filters": [1, 1], "patch_sizes": [2],
+                       "boundary": "valid",
+                       "activations": [{"activation": "exp"},
+                                       {"activation": "exp"}]},
+           "images": {"paths": [str(tmp_path / "absent.txt")], "r": 2}}
+    rc, out = run(tmp_path, "cnn-label", cfg, name="img.jsonl")
+    assert rc == EXIT_CONFIG
+    assert not out.exists()

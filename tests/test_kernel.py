@@ -79,15 +79,32 @@ def test_gram_single_point():
     assert G[0, 0] == pytest.approx(eval_kernel(spec, x, x))
 
 
-def test_gram_matches_pairwise_eval(rng):
-    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
-    xs = sample_uniform_batch(6, 2, 3, 17)
-    G = gram(spec, xs)
-    for i in range(6):
-        for j in range(6):
-            assert G[i, j] == pytest.approx(eval_kernel(spec, xs[i], xs[j]),
-                                            rel=1e-12)
-    np.testing.assert_array_equal(G, G.T)
+def test_gram_matches_pairwise_eval():
+    for acts, n, d in [(["exp", "square"], 2, 3), (["exp", "exp"], 3, 4),
+                       (["square", "square"], 1, 5)]:
+        spec = build_kernel([activation(a) for a in acts], n, d)
+        xs = sample_uniform_batch(9, n, d, 17)
+        G = gram(spec, xs)
+        assert np.array_equal(G, G.T)
+        for i in range(9):
+            for j in range(9):
+                assert G[i, j] == pytest.approx(
+                    eval_kernel(spec, xs[i], xs[j]), rel=1e-14)
+        np.testing.assert_allclose(cross_gram(spec, xs, xs), G, rtol=1e-14)
+
+
+def test_padded_series_give_bitwise_equal_grams():
+    acts = [activation("square"), activation("square")]
+    padded = build_kernel(acts, 2, 4)  # f1 and g padded to order 64
+    exact = build_kernel(acts, 2, 4, TruncationConfig(series_order=2, q_max=2))
+    assert (padded.f1.order, padded.g.order) == (64, 64)
+    assert (exact.f1.order, exact.g.order) == (2, 2)
+    xs = sample_uniform_batch(40, 2, 4, 31)
+    ys = sample_uniform_batch(30, 2, 4, 32)
+    assert np.array_equal(gram(padded, xs), gram(exact, xs))
+    assert np.array_equal(cross_gram(padded, xs, ys), cross_gram(exact, xs, ys))
+    assert eval_kernel(padded, xs[0], ys[0]) == eval_kernel(exact, xs[0], ys[0])
+    assert padded.diag_value() == exact.diag_value()
 
 
 def test_gram_universal_config_strictly_pd():

@@ -5,7 +5,7 @@ import pytest
 
 from harmonica.activations import activation
 from harmonica.image import sample_uniform, sample_uniform_batch
-from harmonica.kernel import build_kernel, constant_kernel, eval_kernel
+from harmonica.kernel import build_kernel, constant_kernel, eval_kernel, gram
 from harmonica.krr import (Dataset, Schedule, SourceTarget, apply_target,
                            closed_form_top_eigs, learning_curve, mse,
                            nystrom_eigs, predict, rls_fit, rls_objective,
@@ -106,6 +106,15 @@ def test_nystrom_matches_closed_form_top10():
     np.testing.assert_allclose(nys, closed, rtol=0.10)
 
 
+def test_nystrom_top_k_matches_full_eigvalsh():
+    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
+    ell, top_k = 300, 12
+    G = gram(spec, sample_uniform_batch(ell, 2, 3, 8))
+    want = np.linalg.eigvalsh(G)[::-1][:top_k] * (4 * math.pi) ** 2 / ell
+    np.testing.assert_allclose(nystrom_eigs(spec, ell, top_k, seed=8), want,
+                               rtol=1e-12)
+
+
 def test_nystrom_needs_enough_samples():
     spec = build_kernel(EI, 1, 3)
     with pytest.raises(ValueError):
@@ -136,6 +145,21 @@ def test_learning_curve_zero_target():
     rows = learning_curve(spec, lambda x: 0.0, Schedule(beta=2.0),
                           [8, 16], test_size=50, seed=0)
     assert all(r["test_mse"] <= 1e-20 for r in rows)
+
+
+def test_learning_curve_train_mse_from_fit_gram():
+    spec = build_kernel([activation("square"), activation("square")], 2, 4)
+    target = lambda x: float(x.patches[0, 0] * x.patches[1, 1])
+    sched = Schedule(beta=2.0)
+    rows = learning_curve(spec, target, sched, [40, 90], test_size=20, seed=3)
+    for row in rows:
+        ell = row["ell"]
+        train = sample_uniform_batch(ell, 2, 4, (3, ell, 0))
+        data = Dataset(xs=tuple(train), ys=apply_target(target, train))
+        fit = rls_fit(spec, data, schedule_lambda(sched, ell, 4, spec.d_star))
+        want = mse(predict(spec, fit, train), data.ys)
+        assert want > 1e-6
+        assert row["train_mse"] == pytest.approx(want, rel=1e-12)
 
 
 def test_learning_curve_zonal_target_and_threads():

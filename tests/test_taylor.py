@@ -96,6 +96,24 @@ def test_eval_series_vectorized():
                                [1.0, 4.0, 0.0])
 
 
+def test_eval_series_padding_bitwise_exact(rng):
+    # reference: full-length Horner over every padded coefficient
+    t = np.clip(rng.standard_normal(200), -1.0, 1.0)
+    for deg in (0, 1, 2, 5):
+        c = list(rng.uniform(0.0, 2.0, deg + 1))
+        exact, padded = series_from(c), series_from(c, order=64)
+        want = np.polynomial.polynomial.polyval(t, padded.asarray())
+        assert np.array_equal(eval_series(padded, t), want)
+        assert np.array_equal(eval_series(exact, t), want)
+        for v in t[:20]:
+            acc = 0.0
+            for coeff in reversed(padded.coeffs):
+                acc = acc * v + coeff
+            assert eval_series(padded, float(v)) == acc
+    zero = series_from([0.0], order=8)
+    assert np.array_equal(eval_series(zero, t), np.zeros_like(t))
+
+
 def test_commutativity_exact(rng):
     for _ in range(20):
         a = series_from(rng.uniform(0, 2, size=9))
