@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import UnsupportedActivationError
-from .taylor import CoeffSeries, DEFAULT_ORDER, series_from
+from .taylor import CoeffSeries, DEFAULT_ORDER, exp_series, series_from
 
 KINDS = ("exp", "square", "poly", "erf_sigmoid", "smooth_hinge", "custom",
          "identity", "geometric")
@@ -70,11 +70,14 @@ def activation(kind: str, coeffs=None, ratio=None) -> ActivationSpec:
 
 
 def _erf_sigmoid_coeffs(order: int) -> list[float]:
+    # log-gamma form: pi^n and n! overflow as floats past n = 170, while the
+    # coefficient itself just underflows to 0.0
     c = [0.0] * (order + 1)
     c[0] = 0.5
     n = 0
     while 2 * n + 1 <= order:
-        c[2 * n + 1] = (-1.0) ** n * math.pi ** n / (math.factorial(n) * (2 * n + 1))
+        c[2 * n + 1] = (-1.0) ** n * math.exp(
+            n * math.log(math.pi) - math.lgamma(n + 1) - math.log(2 * n + 1))
         n += 1
     return c
 
@@ -84,8 +87,10 @@ def _smooth_hinge_coeffs(order: int) -> list[float]:
     c[0] = 1.0 / (2.0 * math.pi)
     n = 1
     while 2 * n <= order:
-        a = (2.0 / math.sqrt(math.pi)) / (math.factorial(n - 1) * (2 * n - 1))
-        b = math.pi ** (n - 1) / (2.0 * math.factorial(n))
+        a = math.exp(math.log(2.0 / math.sqrt(math.pi)) - math.lgamma(n)
+                     - math.log(2 * n - 1))
+        b = math.exp((n - 1) * math.log(math.pi) - math.lgamma(n + 1)
+                     - math.log(2.0))
         c[2 * n] = (-1.0) ** (n - 1) * (a - b)
         n += 1
     return c
@@ -94,7 +99,7 @@ def _smooth_hinge_coeffs(order: int) -> list[float]:
 def taylor_coeffs(spec: ActivationSpec, order: int) -> CoeffSeries:
     """Signed Taylor coefficients of sigma at 0 (may be negative)."""
     if spec.kind == "exp":
-        return series_from([1.0 / math.factorial(m) for m in range(order + 1)])
+        return exp_series(order)
     if spec.kind == "square":
         return series_from([0.0, 0.0, 1.0], order=max(order, 2))
     if spec.kind == "identity":

@@ -232,6 +232,10 @@ def cmd_learning_curve(cfg: dict, out: str, seed: int, args) -> int:
     spec = kernel_from_config(cfg["kernel"])
     sched = Schedule(beta=float(cfg["schedule"]["beta"]),
                      mu_exp=float(cfg["schedule"].get("mu_exp", 0.0)))
+    try:
+        sched.check(spec.d, spec.d_star)
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
     target = _target_from(cfg, spec, seed)
     table_rows = learning_curve(
         spec, target, sched, cfg["sizes"], int(cfg.get("test_size", 2000)),

@@ -1,4 +1,4 @@
-"""Spherical-harmonic combinatorics and the quadrature eigenvalue oracle.
+"""Spherical-harmonic combinatorics and the quadrature eigenvalue test oracle.
 
 Works throughout with the *unnormalized* surface measure on S^{d-1} and with
 zonal polynomials P_{k,d} normalized so P_{k,d}(1) = 1 (Chebyshev for d=2,
@@ -117,6 +117,9 @@ def funk_hecke_eigenvalue(g: CoeffSeries, k: int, d: int,
     oscillatory product loses them to cancellation). Gauss-Jacobi nodes make
     the rule exact for the truncated polynomial g; a refinement cross-check
     guards that claim.
+
+    This is a test oracle: ``spectrum.lambda_table`` never calls it, since
+    the Funk-Hecke / closed-form ratio is the exact ``spectrum.KAPPA``.
     """
     if d < 2 or k < 0:
         raise ValueError("need d >= 2 and k >= 0")

@@ -118,6 +118,12 @@ class Schedule:
         if not 0.0 < self.beta <= 2.0:
             raise ValueError("beta must lie in (0, 2]")
 
+    def check(self, d: int, d_star: int) -> None:
+        """Refuse beta = 1 unless mu_exp > (d-1) d*."""
+        if self.beta == 1.0 and self.mu_exp <= (d - 1) * d_star:
+            raise ValueError(
+                f"beta = 1 needs mu_exp > (d-1) d* = {(d - 1) * d_star}")
+
 
 def schedule_lambda(s: Schedule, ell: int, d: int, d_star: int) -> float:
     """The three displayed regularization schedules.
@@ -127,12 +133,10 @@ def schedule_lambda(s: Schedule, ell: int, d: int, d_star: int) -> float:
     """
     if ell < 3:
         raise ValueError("schedules need ell >= 3 (log powers degenerate)")
+    s.check(d, d_star)
     if s.beta > 1.0:
         return ell ** (-1.0 / s.beta)
     if s.beta == 1.0:
-        if s.mu_exp <= (d - 1) * d_star:
-            raise ValueError(
-                f"beta = 1 needs mu_exp > (d-1) d* = {(d - 1) * d_star}")
         return math.log(ell) ** s.mu_exp / ell
     return math.log(ell) ** ((d - 1) * d_star / s.beta) / ell
 

@@ -6,10 +6,23 @@ Single-sphere eigenvalues come from the closed form
       * sum_s b[2s+k; alpha] ((2s+k)!/(2s)!) Gamma(s+1/2)/Gamma(s+k+d/2)
 
 where b[m; alpha] are the coefficients of f1^alpha. The sum is evaluated in
-log space (the 2^-(k+1) prefactor alone underflows near k ~ 1400). The
-closed form and the Funk-Hecke quadrature oracle disagree by a constant
-factor kappa (measured ~2); kappa is stored on the table and applied only
-where values meet the actual integral operator (reconstruction, Nystrom).
+log space (the 2^-(k+1) prefactor alone underflows near k ~ 1400).
+
+The closed form is half the Funk-Hecke eigenvalue, exactly: KAPPA = 2.0.
+With a = (d-3)/2 the Rodrigues formula writes
+P_{k,d}(t) (1-t^2)^a = (-1)^k Gamma(a+1) / (2^k Gamma(k+a+1))
+(d/dt)^k (1-t^2)^{k+a}, so k integrations by parts turn the Funk-Hecke
+integral of a monomial t^m, m = k + 2s, into
+
+  int t^m P_{k,d}(t) (1-t^2)^a dt
+      = Gamma(a+1) / (2^k Gamma(k+a+1)) * m!/(2s)! * B(s+1/2, k+a+1)
+      = Gamma((d-1)/2) / 2^k * m!/(2s)! * Gamma(s+1/2) / Gamma(s+k+d/2),
+
+which is the closed-form term with 2^k in place of 2^{k+1}, for every d,
+k and alpha. Tables keep the closed-form normalization (the published
+``mu``); KAPPA is applied only where values meet the actual integral
+operator (reconstruction, Nystrom). The Funk-Hecke quadrature in
+``harmonics`` is a test oracle for this constant, never run here.
 
 Multi-patch eigenvalues aggregate per-profile:
 
@@ -33,11 +46,16 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import ConvergenceError, FitError, TruncationError
+# funk_hecke_eigenvalue and power are unused here; perfbench/layers.py wraps
+# both names on this module
 from .harmonics import (funk_hecke_eigenvalue, harmonic_dim, sphere_surface,
                         zonal_poly_table)
 from .image import PatchedImage
 from .kernel import KernelSpec
-from .taylor import CoeffSeries, power
+from .taylor import CoeffSeries, power, power_table
+
+# Funk-Hecke eigenvalue / closed-form lambda, exact (module docstring)
+KAPPA = 2.0
 
 
 @dataclass(frozen=True)
@@ -47,12 +65,15 @@ class LambdaTable:
     d: int
     lam: np.ndarray   # (k_max+1, a_max+1)
     tail: np.ndarray  # relative size of the last s-term
-    kappa: float      # quadrature / closed-form ratio
-    kappa_spread: float  # max relative deviation across calibration degrees
 
     def __post_init__(self):
         for a in (self.lam, self.tail):
             a.flags.writeable = False
+
+    @property
+    def kappa(self) -> float:
+        """Funk-Hecke / closed-form ratio: the exact constant KAPPA."""
+        return KAPPA
 
     @property
     def k_max(self) -> int:
@@ -64,12 +85,13 @@ class LambdaTable:
 
 
 def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
-                 s_tol: float = 1e-12, calibrate: bool = True) -> LambdaTable:
+                 s_tol: float = 1e-12) -> LambdaTable:
     """Closed-form eigenvalue table for f1^alpha, alpha <= a_max, k <= k_max.
 
     Needs f1 truncated high enough that the s-series tail at k_max falls
-    below s_tol; otherwise a convergence error is raised. kappa compares
-    lambda[k][1] against the quadrature oracle for k <= min(k_max, 10).
+    below s_tol; otherwise a convergence error is raised. No quadrature
+    runs: the Funk-Hecke ratio is the exact KAPPA. The powers f1^alpha come
+    from one left-fold product each (bitwise equal to ``power``).
     """
     if not f1.nonneg:
         raise ValueError("f1 must be a nonnegative series")
@@ -80,8 +102,9 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
     log_pref_base = math.log(sphere_surface(d - 1)) + math.lgamma((d - 1) / 2.0)
     lam = np.zeros((k_max + 1, a_max + 1))
     tail = np.zeros((k_max + 1, a_max + 1))
+    powers = power_table(f1, order)
     for alpha in range(a_max + 1):
-        b = power(f1, alpha, order).asarray()
+        b = powers(alpha).asarray()
         for k in range(k_max + 1):
             m = np.arange(k, order + 1, 2)
             s = (m - k) // 2
@@ -109,24 +132,7 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
                     raise ConvergenceError(
                         f"s-series tail {t_rel:.3e} >= {s_tol:.1e} at "
                         f"k={k}, alpha={alpha}; raise the f1 order")
-    kappa, spread = (1.0, 0.0)
-    if calibrate:
-        kappa, spread = _calibrate_kappa(f1, d, lam, k_max)
-    return LambdaTable(d=d, lam=lam, tail=tail, kappa=kappa,
-                       kappa_spread=spread)
-
-
-def _calibrate_kappa(f1, d, lam, k_max):
-    ratios = []
-    scale = float(lam[:, 1].max(initial=0.0))
-    for k in range(min(k_max, 10) + 1):
-        if lam[k, 1] > 1e-13 * scale:
-            ratios.append(funk_hecke_eigenvalue(f1, k, d) / lam[k, 1])
-    if not ratios:
-        return 1.0, 0.0
-    kappa = float(np.mean(ratios))
-    spread = float(max(abs(r - kappa) for r in ratios) / kappa)
-    return kappa, spread
+    return LambdaTable(d=d, lam=lam, tail=tail)
 
 
 @dataclass(frozen=True)

@@ -95,8 +95,13 @@ def identity_series(order: int = 1) -> CoeffSeries:
 
 
 def exp_series(order: int) -> CoeffSeries:
-    return series_from([1.0 / math.factorial(m) for m in range(order + 1)],
-                       nonneg=True)
+    # 1 / m! as int / int: correctly rounded, and it underflows to 0.0 where
+    # the float conversion of m! (m > 170) would overflow
+    coeffs, fact = [], 1
+    for m in range(order + 1):
+        fact *= max(m, 1)
+        coeffs.append(1 / fact)
+    return series_from(coeffs, nonneg=True)
 
 
 def geometric_series(r: float, order: int) -> CoeffSeries:
@@ -143,8 +148,15 @@ def power(a: CoeffSeries, alpha: int, order: int) -> CoeffSeries:
 
 
 def power_table(a: CoeffSeries, order: int) -> Callable[[int], CoeffSeries]:
-    """Memoized l -> a**l table used by composition."""
-    cache: dict[int, CoeffSeries] = {0: series_from([1.0], order=order, nonneg=True)}
+    """Memoized l -> a**l table, one left-fold product per new l.
+
+    Entries are bitwise equal to power(a, l, order). The l = 1 entry is
+    seeded like power's: cauchy_product(1, a) reproduces a exactly, so the
+    O(order^2) product is skipped.
+    """
+    cache: dict[int, CoeffSeries] = {
+        0: series_from([1.0], order=order, nonneg=True),
+        1: a.truncated(order)}
 
     def table(l: int) -> CoeffSeries:
         if l not in cache:

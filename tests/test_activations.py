@@ -1,13 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from harmonica.activations import (ActivationSpec, activation, evaluate,
-                                   majorant_series, taylor_coeffs)
+from harmonica.activations import (KINDS, ActivationSpec, activation,
+                                   evaluate, majorant_series, taylor_coeffs)
 from harmonica.errors import UnsupportedActivationError
-from harmonica.taylor import eval_series
+from harmonica.taylor import MAX_ORDER, eval_series, exp_series
 
 from conftest import fd_derivative
 
@@ -40,6 +41,59 @@ def test_integral_activations_match_finite_differences(kind):
                      / math.factorial(m))
         rel, abs_ = (1e-7, 1e-10) if m <= 4 else (1e-5, 1e-8)
         assert got.coeffs[m] == pytest.approx(oracle, rel=rel, abs=abs_)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_majorants_build_at_max_order(kind):
+    # factorials overflow floats past 170; the coefficients must underflow
+    spec = activation(kind, coeffs=[0.5, 0.0, 2.0], ratio=0.9)
+    s = majorant_series(spec, MAX_ORDER)
+    assert s.order == MAX_ORDER
+    assert all(math.isfinite(v) and v >= 0.0 for v in s.coeffs)
+
+
+def test_exp_series_past_factorial_overflow():
+    s = exp_series(MAX_ORDER)
+    assert s.coeffs[170] == pytest.approx(1.0 / math.factorial(170), rel=1e-15)
+    assert 0.0 < s.coeffs[171] < s.coeffs[170]
+    assert s.coeffs[MAX_ORDER] == 0.0
+    assert majorant_series(activation("exp"), MAX_ORDER).coeffs == s.coeffs
+
+
+def _mp_erf_sigmoid_coeff(m):
+    # 0.5 erf(sqrt(pi) x) from erf(z) = 2/sqrt(pi) sum (-1)^n z^(2n+1) / (n! (2n+1))
+    if m == 0:
+        return mpmath.mpf(1) / 2
+    if m % 2 == 0:
+        return mpmath.mpf(0)
+    n = (m - 1) // 2
+    return (mpmath.sqrt(mpmath.pi) ** m * (-1) ** n
+            / (mpmath.sqrt(mpmath.pi) * mpmath.factorial(n) * m))
+
+
+def _mp_smooth_hinge_coeff(m):
+    # x erf(x) from the erf series plus exp(-pi x^2) / (2 pi) from exp's
+    if m % 2:
+        return mpmath.mpf(0)
+    n = m // 2
+    out = (-mpmath.pi) ** n / (mpmath.factorial(n) * 2 * mpmath.pi)
+    if n >= 1:
+        out += (2 / mpmath.sqrt(mpmath.pi) * (-1) ** (n - 1)
+                / (mpmath.factorial(n - 1) * (2 * n - 1)))
+    return out
+
+
+@pytest.mark.parametrize("kind,oracle", [("erf_sigmoid", _mp_erf_sigmoid_coeff),
+                                         ("smooth_hinge", _mp_smooth_hinge_coeff)])
+def test_integral_activations_match_mpmath_series(kind, oracle):
+    got = taylor_coeffs(activation(kind), 121).coeffs
+    with mpmath.workdps(40):
+        for m in range(122):
+            want = float(oracle(m))
+            if want == 0.0:
+                assert got[m] == 0.0
+            else:
+                assert got[m] == pytest.approx(want, rel=1e-12), m
 
 
 def test_polynomial_majorant_is_padded_coeffs():

@@ -224,3 +224,26 @@ def test_cnn_label_missing_image_is_config_error(tmp_path):
     rc, out = run(tmp_path, "cnn-label", cfg, name="img.jsonl")
     assert rc == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_spectrum_exp_past_factorial_overflow(tmp_path):
+    # exp coefficients past degree 170 underflow instead of overflowing
+    cfg = {"kernel": {"layers": [{"activation": "exp"},
+                                 {"activation": "identity"}],
+                      "n": 1, "d": 3, "truncation": {"order": 200}},
+           "k_max": 10}
+    rc, out = run(tmp_path, "spectrum", cfg)
+    assert rc == EXIT_OK
+    _, rows = read_rows(out)
+    assert all(float(r[1]) > 0.0 for r in rows)
+
+
+def test_learning_curve_beta_one_small_mu_exp_is_config_error(tmp_path):
+    # beta = 1 needs mu_exp > (d-1) d* = 6 here; refused before any sampling
+    cfg = {"kernel": {"layers": [{"activation": "square"},
+                                 {"activation": "square"}], "n": 2, "d": 4},
+           "schedule": {"beta": 1.0, "mu_exp": 1.0}, "sizes": [16],
+           "test_size": 50, "target": {"type": "zero"}}
+    rc, out = run(tmp_path, "learning-curve", cfg)
+    assert rc == EXIT_CONFIG
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,8 @@ from harmonica.errors import ConvergenceError, FitError, TruncationError
 from harmonica.harmonics import funk_hecke_eigenvalue, sphere_surface
 from harmonica.image import sample_uniform
 from harmonica.kernel import TruncationConfig, build_kernel, eval_kernel
-from harmonica.spectrum import (SpectralExpansion, SpectrumEntry,
+from harmonica import spectrum
+from harmonica.spectrum import (KAPPA, SpectralExpansion, SpectrumEntry,
                                 canonical_profile, counting_function,
                                 enumerate_spectrum, expand_spectrum, fit_decay,
                                 lambda_table, mercer_reconstruct, mu_eigenvalue,
@@ -47,7 +49,10 @@ def test_lambda_matches_quadrature_up_to_kappa():
     for d in (2, 3, 4):
         for f1 in (EXP, geometric_series(0.5, 96)):
             tab = lambda_table(f1, d, 10, 4)
-            assert tab.kappa_spread < 1e-10
+            scale = tab.lam[:, 1].max()
+            ratios = [funk_hecke_eigenvalue(f1, k, d) / tab.lam[k, 1]
+                      for k in range(11) if tab.lam[k, 1] > 1e-13 * scale]
+            assert max(abs(r - 2.0) for r in ratios) / 2.0 < 1e-10
             for alpha in range(5):
                 fa = power(f1, alpha, f1.order)
                 for k in range(11):
@@ -57,6 +62,77 @@ def test_lambda_matches_quadrature_up_to_kappa():
                         assert ratio == pytest.approx(tab.kappa, rel=1e-6)
                     else:
                         assert abs(fh) < 1e-12
+
+
+def _mp_zonal_coeffs(k, d):
+    """Monomial coefficients of P_{k,d}, P_{k,d}(1) = 1, from the explicit
+    Chebyshev (d = 2) and Gegenbauer sums, not from a Rodrigues form."""
+    c = [mpmath.mpf(0)] * (k + 1)
+    for j in range(k // 2 + 1):
+        if d == 2:
+            w = (mpmath.mpf(k) / 2 * mpmath.factorial(k - j - 1) if k else 1)
+        else:
+            w = mpmath.gamma(k - j + mpmath.mpf(d - 2) / 2)
+        c[k - 2 * j] = ((-1) ** j * w * mpmath.mpf(2) ** (k - 2 * j)
+                        / (mpmath.factorial(j) * mpmath.factorial(k - 2 * j)))
+    return [v / mpmath.fsum(c) for v in c]
+
+
+def _mp_funk_hecke_monomial(m, k, d):
+    """int t^m P_{k,d}(t) (1-t^2)^{(d-3)/2} dt, one Beta integral per
+    monomial of t^m P_{k,d}(t)."""
+    a = mpmath.mpf(d - 3) / 2
+    return mpmath.fsum(c * mpmath.beta(mpmath.mpf(m + i + 1) / 2, a + 1)
+                       for i, c in enumerate(_mp_zonal_coeffs(k, d))
+                       if (m + i) % 2 == 0)
+
+
+def _mp_closed_form_term(m, k, d):
+    s = (m - k) // 2
+    return (mpmath.gamma(mpmath.mpf(d - 1) / 2) / mpmath.mpf(2) ** (k + 1)
+            * mpmath.factorial(m) / mpmath.factorial(2 * s)
+            * mpmath.gamma(s + mpmath.mpf(1) / 2)
+            / mpmath.gamma(s + k + mpmath.mpf(d) / 2))
+
+
+def test_kappa_is_exactly_two_on_monomials():
+    # the Rodrigues derivation of KAPPA, checked at 40 digits: Funk-Hecke of
+    # t^m over P_{k,d} is KAPPA times the closed-form term for every d and k
+    with mpmath.workdps(40):
+        for d in (2, 3, 4, 5, 9):
+            for k in range(7):
+                for m in range(k, k + 9, 2):
+                    fh = _mp_funk_hecke_monomial(m, k, d)
+                    want = KAPPA * _mp_closed_form_term(m, k, d)
+                    assert abs(fh / want - 1) < mpmath.mpf("1e-30"), (d, k, m)
+
+
+def test_lambda_table_matches_mpmath_oracle_on_monomials():
+    # lambda_table in float64 against the 40-digit Funk-Hecke integral / KAPPA
+    with mpmath.workdps(40):
+        for d in (2, 3, 4, 5, 9):
+            for m in range(9):
+                f1 = series_from([0.0] * m + [1.0], order=m + 2)
+                tab = lambda_table(f1, d, m, 1)
+                for k in range(m + 1):
+                    fh = (sphere_surface(d - 1)
+                          * _mp_funk_hecke_monomial(m, k, d) / KAPPA)
+                    if (m - k) % 2:
+                        assert tab.lam[k, 1] == 0.0
+                        assert abs(fh) < mpmath.mpf("1e-35")
+                    else:
+                        assert tab.lam[k, 1] == pytest.approx(float(fh),
+                                                              rel=1e-13)
+
+
+def test_lambda_table_powers_match_per_alpha_power(monkeypatch):
+    # one left-fold product per alpha gives the table per-alpha power() gives
+    fast = lambda_table(EXP, 3, 10, 6)
+    monkeypatch.setattr(spectrum, "power_table", lambda a, order:
+                        lambda alpha: power(a, alpha, order))
+    slow = lambda_table(EXP, 3, 10, 6)
+    np.testing.assert_array_equal(fast.lam, slow.lam)
+    np.testing.assert_array_equal(fast.tail, slow.tail)
 
 
 def test_lambda_table_convergence_guard():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmonica.errors import ConvergenceError, TruncationCapError
 from harmonica.taylor import (CoeffSeries, cauchy_product, compose,
@@ -168,6 +169,20 @@ def test_eval_product_consistency(rng):
         # positive-coefficient tail at |t| <= 1/2 of the (unit) radius
         tail = sum(a.coeffs) * sum(b.coeffs) * abs(t) ** 33 / (1 - abs(t))
         assert abs(direct - viaprod) <= tail + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.floats(min_value=0.0, max_value=1e3,
+                                 allow_subnormal=False),
+                       min_size=1, max_size=24),
+       order=st.integers(min_value=0, max_value=30),
+       alpha=st.integers(min_value=0, max_value=8))
+def test_power_table_bitwise_equals_power(coeffs, order, alpha):
+    a = series_from(coeffs, nonneg=True)
+    got = power_table(a, order)(alpha)
+    want = power(a, alpha, order)
+    assert got.coeffs == want.coeffs
+    assert got.nonneg == want.nonneg
 
 
 def test_geometric_power_coefficient_window():
