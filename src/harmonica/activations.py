@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import UnsupportedActivationError
 from .taylor import CoeffSeries, DEFAULT_ORDER, exp_series, series_from
@@ -136,8 +135,10 @@ def evaluate(spec: ActivationSpec, x):
     elif spec.kind == "geometric":
         out = 1.0 / (1.0 - spec.ratio * x)
     elif spec.kind == "erf_sigmoid":
+        from scipy.special import erf  # only erf kinds pay scipy's import
         out = 0.5 * (1.0 + erf(math.sqrt(math.pi) * x))
     elif spec.kind == "smooth_hinge":
+        from scipy.special import erf
         out = x * erf(x) + np.exp(-math.pi * x * x) / (2.0 * math.pi)
     else:
         raise UnsupportedActivationError(spec.kind)

@@ -221,11 +221,16 @@ def _target_from(cfg: dict, spec: KernelSpec, seed):
         return cnn_target(params, acts)
     profiles = [(tuple(p["degrees"]), p.get("coeff", 1.0))
                 for p in doc.get("profiles", [{"degrees": [1], "coeff": 1.0}])]
+    if any(not p for p, _ in profiles):
+        raise ConfigError("target: a profile needs at least one degree")
     k_hi = max((max(p) for p, _ in profiles), default=1)
     table = _table_for(spec, max(k_hi, 1))
     anchor = sample_uniform_batch(1, spec.n, spec.d, (seed, 99))[0]
-    return SourceTarget(spec, table, anchor, profiles,
-                        beta=doc.get("beta", 1.0))
+    try:
+        return SourceTarget(spec, table, anchor, profiles,
+                            beta=doc.get("beta", 1.0))
+    except ValueError as exc:  # zero eigenvalue, profile longer than n
+        raise ConfigError(f"target: {exc}") from exc
 
 
 def cmd_learning_curve(cfg: dict, out: str, seed: int, args) -> int:

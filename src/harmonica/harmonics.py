@@ -12,7 +12,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import QuadratureError
 from .taylor import CoeffSeries
@@ -77,6 +76,7 @@ def zonal_pair_sum(k: int, d: int, x: np.ndarray, y: np.ndarray) -> float:
 
 @lru_cache(maxsize=256)
 def _jacobi_nodes(n: int, exponent: float):
+    from scipy.special import roots_jacobi  # test oracle only: keep off start-up
     x, w = roots_jacobi(n, exponent, exponent)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -86,6 +86,7 @@ def _jacobi_nodes(n: int, exponent: float):
 def _derivative_coeffs(g: CoeffSeries, k: int) -> np.ndarray:
     """Coefficients of g^{(k)}: b_{j+k} (j+k)!/j!, built through log-gamma so
     tiny coefficients against huge factorial ratios stay in range."""
+    from scipy.special import gammaln
     b = g.asarray()
     if k >= b.size:
         return np.zeros(1)

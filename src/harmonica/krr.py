@@ -13,13 +13,32 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh
 
 from .errors import SolverError
 from .harmonics import sphere_surface, zonal_poly_table, harmonic_dim
 from .image import PatchedImage, sample_uniform_batch, stack_patches
 from .kernel import KernelSpec, cross_gram, gram
 from .spectrum import LambdaTable, canonical_profile, mu_eigenvalue
+
+
+# scipy.linalg costs ~0.3 s to import, so it loads at the first solve rather
+# than at start-up; callers (and tracers) use these module-level names
+def cho_factor(*args, **kwargs):
+    """scipy.linalg.cho_factor."""
+    from scipy.linalg import cho_factor as impl
+    return impl(*args, **kwargs)
+
+
+def cho_solve(*args, **kwargs):
+    """scipy.linalg.cho_solve."""
+    from scipy.linalg import cho_solve as impl
+    return impl(*args, **kwargs)
+
+
+def eigvalsh(*args, **kwargs):
+    """scipy.linalg.eigvalsh."""
+    from scipy.linalg import eigvalsh as impl
+    return impl(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -75,12 +94,12 @@ def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
     A = G + lam * ell * np.eye(ell)
     try:
         c = cho_solve(cho_factor(A, lower=True), data.ys)
-    except LinAlgError:
+    except np.linalg.LinAlgError:  # the class scipy.linalg raises
         jitter = 1e-12 * np.trace(G) / ell
         try:
             c = cho_solve(cho_factor(A + jitter * np.eye(ell), lower=True),
                           data.ys)
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(A))
             raise SolverError(
                 f"Gram factorization failed even with jitter {jitter:.3e} "

@@ -43,7 +43,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import ConvergenceError, FitError, TruncationError
 # funk_hecke_eigenvalue and power are unused here; perfbench/layers.py wraps
@@ -84,6 +83,14 @@ class LambdaTable:
         return self.lam.shape[1] - 1
 
 
+def _lgamma_halves(j_max: int) -> np.ndarray:
+    """lg[j] = log Gamma(j/2) for 1 <= j <= j_max (lg[0], the pole, is nan)."""
+    lg = np.empty(j_max + 1)
+    lg[0] = math.nan
+    lg[1:] = [math.lgamma(j / 2.0) for j in range(1, j_max + 1)]
+    return lg
+
+
 def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
                  s_tol: float = 1e-12) -> LambdaTable:
     """Closed-form eigenvalue table for f1^alpha, alpha <= a_max, k <= k_max.
@@ -91,7 +98,10 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
     Needs f1 truncated high enough that the s-series tail at k_max falls
     below s_tol; otherwise a convergence error is raised. No quadrature
     runs: the Funk-Hecke ratio is the exact KAPPA. The powers f1^alpha come
-    from one left-fold product each (bitwise equal to ``power``).
+    from one left-fold product each (bitwise equal to ``power``). Every
+    log-gamma argument is a half-integer, so one ``math.lgamma`` table
+    serves the whole call, and the alpha-independent part of each term is
+    built once per k.
     """
     if not f1.nonneg:
         raise ValueError("f1 must be a nonnegative series")
@@ -103,24 +113,29 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
     lam = np.zeros((k_max + 1, a_max + 1))
     tail = np.zeros((k_max + 1, a_max + 1))
     powers = power_table(f1, order)
-    for alpha in range(a_max + 1):
-        b = powers(alpha).asarray()
-        for k in range(k_max + 1):
-            m = np.arange(k, order + 1, 2)
-            s = (m - k) // 2
-            pos = b[m] > 0.0
-            if not np.any(pos):
-                continue  # exact zero (notably alpha = 0, k >= 1)
+    b = np.stack([powers(alpha).asarray() for alpha in range(a_max + 1)])
+    with np.errstate(divide="ignore"):
+        log_b = np.log(b)  # -inf at exact zeros, which the masks below drop
+    # every log-gamma argument is a half-integer j/2 with j <= 2 order + d
+    lg = _lgamma_halves(2 * order + d)
+    for k in range(k_max + 1):
+        s = np.arange((order - k) // 2 + 1)
+        m = k + 2 * s
+        # alpha-independent part of log t: m!/(2s)! Gamma(s+1/2)/Gamma(s+k+d/2)
+        log_c = lg[2 * m + 2] - lg[4 * s + 2] + lg[2 * s + 1] - lg[m + k + d]
+        log_pref = log_pref_base - (k + 1) * math.log(2.0)
+        for alpha in range(a_max + 1):
             # only the parity subsequence b[k::2] feeds this entry; a zero at
             # its boundary means the sum terminated exactly (parity-gapped
             # majorants), a nonzero one means real truncation
+            pos = b[alpha, k::2] > 0.0
+            if not pos.any():
+                continue  # exact zero (notably alpha = 0, k >= 1)
             truncated = bool(pos[-1])
-            m, s = m[pos], s[pos]
-            logt = (np.log(b[m]) + gammaln(m + 1.0) - gammaln(2.0 * s + 1.0)
-                    + gammaln(s + 0.5) - gammaln(s + k + d / 2.0))
-            logsum = float(logsumexp(logt))
-            lam[k, alpha] = math.exp(log_pref_base - (k + 1) * math.log(2.0)
-                                     + logsum)
+            logt = (log_b[alpha, k::2] + log_c)[pos]
+            top = logt.max()
+            logsum = top + math.log(np.exp(logt - top).sum())
+            lam[k, alpha] = math.exp(log_pref + logsum)
             t_rel = math.exp(logt[-1] - logsum)
             tail[k, alpha] = t_rel if truncated else 0.0
             if truncated:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import harmonica
 from harmonica.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
 
 KERNEL_EI = {"layers": [{"activation": "exp"}, {"activation": "identity"}],
@@ -247,3 +252,48 @@ def test_learning_curve_beta_one_small_mu_exp_is_config_error(tmp_path):
     rc, out = run(tmp_path, "learning-curve", cfg)
     assert rc == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel,target", [
+    # square f1 has no odd degrees: the default profile [1] has mu = 0
+    ({"layers": [{"activation": "square"}, {"activation": "identity"}],
+      "n": 1, "d": 2}, {"type": "source"}),
+    # two degrees on a one-patch kernel
+    (KERNEL_EI, {"type": "source", "profiles": [{"degrees": [9, 9]}]}),
+    (KERNEL_EI, {"type": "source", "profiles": [{"degrees": []}]}),
+], ids=["zero-eigenvalue", "longer-than-n", "empty-degrees"])
+def test_learning_curve_bad_source_profile_is_config_error(tmp_path, kernel,
+                                                           target):
+    cfg = {"kernel": kernel, "schedule": {"beta": 2.0}, "sizes": [16],
+           "test_size": 50, "target": target}
+    rc, out = run(tmp_path, "learning-curve", cfg)
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_spectrum_and_reconstruct_never_load_scipy(tmp_path):
+    # scipy is loaded only by gram-eig, learning-curve and erf activations;
+    # importing the CLI and running spectrum and reconstruct load none of it
+    spectrum_cfg = tmp_path / "spectrum.json"
+    spectrum_cfg.write_text(json.dumps({"kernel": KERNEL_EI, "k_max": 6}))
+    reconstruct_cfg = tmp_path / "reconstruct.json"
+    reconstruct_cfg.write_text(json.dumps(
+        {"kernel": {**KERNEL_EI, "n": 2}, "k_max": 6, "pairs": 3}))
+    script = "\n".join([
+        "import sys",
+        "import harmonica.cli as cli",
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "assert not loaded(), loaded()",
+        f"assert cli.main(['spectrum', '--config', {str(spectrum_cfg)!r}, "
+        f"'--out', {str(tmp_path / 's.csv')!r}]) == 0",
+        f"assert cli.main(['reconstruct', '--config', {str(reconstruct_cfg)!r}, "
+        f"'--out', {str(tmp_path / 'r.csv')!r}]) == 0",
+        "assert not loaded(), loaded()",
+    ])
+    src = str(Path(harmonica.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

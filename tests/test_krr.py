@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from harmonica import krr
 from harmonica.activations import activation
+from harmonica.errors import SolverError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import build_kernel, constant_kernel, eval_kernel, gram
 from harmonica.krr import (Dataset, Schedule, SourceTarget, apply_target,
@@ -63,6 +65,51 @@ def test_prediction_linear_in_labels():
     q = sample_uniform_batch(5, 1, 3, 10)
     np.testing.assert_allclose(predict(spec, fit2, q),
                                2.0 * predict(spec, fit1, q), atol=1e-10)
+
+
+def _failing_cho_factor(monkeypatch, failures):
+    """Make krr.cho_factor raise LinAlgError on its first `failures` calls;
+    returns the list of matrices it was called with."""
+    real = krr.cho_factor
+    calls = []
+
+    def cho_factor(a, **kwargs):
+        calls.append(np.array(a))
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(krr, "cho_factor", cho_factor)
+    return calls
+
+
+def test_rls_cholesky_jitter_retry(monkeypatch):
+    spec = build_kernel(EI, 1, 3)
+    xs = sample_uniform_batch(12, 1, 3, 11)
+    data = Dataset(xs=tuple(xs), ys=np.linspace(-1.0, 1.0, 12))
+    plain = rls_fit(spec, data, 1e-3)
+    calls = _failing_cho_factor(monkeypatch, failures=1)
+    fit = rls_fit(spec, data, 1e-3)
+    assert len(calls) == 2
+    G = gram(spec, xs)
+    jitter = 1e-12 * np.trace(G) / 12
+    np.testing.assert_allclose(calls[1] - calls[0], jitter * np.eye(12),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(fit.coeffs, plain.coeffs, rtol=1e-8)
+    np.testing.assert_allclose(fit.fitted, G @ fit.coeffs, rtol=1e-12)
+
+
+def test_rls_cholesky_failure_is_solver_error(monkeypatch):
+    spec = build_kernel(EI, 1, 3)
+    xs = sample_uniform_batch(12, 1, 3, 11)
+    data = Dataset(xs=tuple(xs), ys=np.linspace(-1.0, 1.0, 12))
+    calls = _failing_cho_factor(monkeypatch, failures=math.inf)
+    with pytest.raises(SolverError) as info:
+        rls_fit(spec, data, 1e-3)
+    assert len(calls) == 2
+    want = np.linalg.cond(gram(spec, xs) + 1e-3 * 12 * np.eye(12))
+    assert info.value.condition == pytest.approx(want, rel=1e-12)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_schedule_formulas_exact():

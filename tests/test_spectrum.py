@@ -125,6 +125,33 @@ def test_lambda_table_matches_mpmath_oracle_on_monomials():
                                                               rel=1e-13)
 
 
+def _mp_lambda(b, k, d):
+    """Closed-form lambda[k] of the float coefficients b, summed at the
+    working precision with mpmath log-gamma."""
+    half = mpmath.mpf(1) / 2
+    total = mpmath.fsum(
+        mpmath.mpf(b[m]) * mpmath.exp(
+            mpmath.loggamma(m + 1) - mpmath.loggamma(m - k + 1)
+            + mpmath.loggamma((m - k) // 2 + half)
+            - mpmath.loggamma((m - k) // 2 + k + mpmath.mpf(d) / 2))
+        for m in range(k, len(b), 2) if b[m] > 0.0)
+    # |S^{d-2}| Gamma((d-1)/2) = 2 pi^{(d-1)/2}
+    return (2 * mpmath.pi ** (mpmath.mpf(d - 1) / 2) * total
+            / mpmath.mpf(2) ** (k + 1))
+
+
+def test_lambda_table_high_degree_matches_mpmath_loggamma():
+    # the decay-law table (d=2, r=0.9, order 4000) at its highest degrees,
+    # where the log-gamma arguments reach ~4000
+    f1 = geometric_series(0.9, 4000)
+    tab = lambda_table(f1, 2, 1200, 1)
+    b = f1.asarray()
+    with mpmath.workdps(30):
+        for k in (1000, 1100, 1200):
+            want = _mp_lambda(b, k, 2)
+            assert abs(tab.lam[k, 1] / want - 1) <= 5e-13, k
+
+
 def test_lambda_table_powers_match_per_alpha_power(monkeypatch):
     # one left-fold product per alpha gives the table per-alpha power() gives
     fast = lambda_table(EXP, 3, 10, 6)
