@@ -14,8 +14,7 @@ from .image import (Image, PatchConfig, PatchedImage, extract_patches,
 from .kernel import KernelSpec, TruncationConfig, build_kernel, eval_kernel, gram
 from .krr import Dataset, FitResult, Schedule, rls_fit, schedule_lambda
 from .spectrum import (LambdaTable, SpectrumEntry, enumerate_spectrum,
-                       fit_decay, lambda_table, mercer_reconstruct,
-                       mu_eigenvalue)
+                       fit_decay, lambda_table, mu_eigenvalue)
 from .taylor import CoeffSeries, cauchy_product, compose, eval_series, power
 
 __all__ = [
@@ -24,7 +23,7 @@ __all__ = [
     "KernelSpec", "TruncationConfig", "build_kernel", "eval_kernel", "gram",
     "Dataset", "FitResult", "Schedule", "rls_fit", "schedule_lambda",
     "LambdaTable", "SpectrumEntry", "enumerate_spectrum", "fit_decay",
-    "lambda_table", "mercer_reconstruct", "mu_eigenvalue",
+    "lambda_table", "mu_eigenvalue",
     "CoeffSeries", "cauchy_product", "compose", "eval_series", "power",
     "__version__",
 ]

@@ -64,14 +64,23 @@ def zonal_poly_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def zonal_features(k_max: int, d: int, t) -> np.ndarray:
+    """Addition-theorem features (N(d,k) / |S^{d-1}|) P_{k,d}(t), k <= k_max.
+
+    By the addition theorem entry k is sum_l Y_k^l(x) Y_k^l(y) at
+    t = <x, y>. ``t`` is any array of inner products (clipped to [-1, 1]);
+    the result has shape (k_max+1, *t.shape).
+    """
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    P = zonal_poly_table(k_max, d, t.reshape(-1)).reshape(k_max + 1, *t.shape)
+    dims = np.array([harmonic_dim(k, d) for k in range(k_max + 1)], dtype=float)
+    return (dims / sphere_surface(d)).reshape(-1, *(1,) * t.ndim) * P
+
+
 def zonal_pair_sum(k: int, d: int, x: np.ndarray, y: np.ndarray) -> float:
     """Addition-theorem aggregate sum_l Y_k^l(x) Y_k^l(y)
     = (alpha_{k,d} / |S^{d-1}|) P_{k,d}(<x, y>)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = float(np.dot(x, y))
-    t = min(1.0, max(-1.0, t))
-    return harmonic_dim(k, d) / sphere_surface(d) * zonal_poly(k, d, t)
+    return float(zonal_features(k, d, np.dot(x, y))[k])
 
 
 @lru_cache(maxsize=256)

@@ -21,7 +21,7 @@ import numpy as np
 from .activations import ActivationSpec, majorant_series
 from .errors import StructuralError
 from .image import PatchedImage, stack_patches
-from .taylor import (CoeffSeries, DEFAULT_L_MAX, compose_series, eval_series,
+from .taylor import (CoeffSeries, DEFAULT_L_MAX, compose, eval_series,
                      identity_series, series_from)
 
 
@@ -107,7 +107,7 @@ def build_kernel(acts: list, n: int, d: int,
     else:
         g = outer[0]
         for nxt in outer[1:]:
-            g = compose_series(nxt, g, trunc.q_max, l_max=trunc.l_max)
+            g = compose(nxt, g, trunc.q_max, l_max=trunc.l_max)
         D = _composed_degree(acts[1:])
     return KernelSpec(f1=f1, g=g, n=n, d=d, D=D, trunc=trunc)
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .harmonics import sphere_surface, zonal_poly_table, harmonic_dim
+# zonal_poly_table is unused here; perfbench/layers.py wraps the name on
+# this module
+from .harmonics import sphere_surface, zonal_features, zonal_poly_table
 from .image import PatchedImage, sample_uniform_batch, stack_patches
 from .kernel import KernelSpec, cross_gram, gram
 from .spectrum import LambdaTable, canonical_profile, mu_eigenvalue
@@ -207,18 +209,14 @@ class SourceTarget:
             self.parts.append((prof, float(coeff) * mu ** (beta / 2.0)))
             k_hi = max(k_hi, prof[0])
         self.k_hi = k_hi
-        self._dims = np.array([harmonic_dim(k, spec.d) for k in range(k_hi + 1)])
-        self._surface = sphere_surface(spec.d)
 
     def __call__(self, x: PatchedImage) -> float:
         return float(self.batch([x])[0])
 
     def batch(self, xs) -> np.ndarray:
         pts = stack_patches(xs)  # (m, n, d)
-        t = np.clip(np.einsum("mnd,nd->mn", pts, self.anchor.patches), -1.0, 1.0)
-        P = zonal_poly_table(self.k_hi, self.spec.d, t.reshape(-1))
-        P = P.reshape(self.k_hi + 1, *t.shape)  # (k, m, n)
-        Z = (self._dims[:, None, None] / self._surface) * P
+        Z = zonal_features(self.k_hi, self.spec.d,
+                           np.einsum("mnd,nd->mn", pts, self.anchor.patches))
         out = np.zeros(len(xs))
         for prof, weight in self.parts:
             term = np.ones(len(xs))

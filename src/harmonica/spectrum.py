@@ -33,6 +33,20 @@ Multi-patch eigenvalues aggregate per-profile:
 with phi_k(u) = sum_alpha lambda[k][alpha]/alpha! u^alpha. Since
 lambda[k][0] = 0 for k >= 1 exactly, any profile with more than
 min(D, n) nonzero degrees gets mu = 0 exactly: the ANOVA-order bound.
+
+The Mercer sum factorizes through the same identity. With Z[k, i] the
+zonal feature of patch i (``harmonics.zonal_features``), summing
+mu(k_1..k_n) prod_i Z[k_i, i] over every profile with degrees <= k_max
+gives
+
+  sum_q a_q q! [u^q] prod_i F_i(u),   F_i(u) = sum_k Z[k, i] phi_k(u),
+
+one (k, q) contraction per patch and n truncated products, batched over
+all pairs. ``mu_eigenvalue`` and ``SpectralExpansion.reconstruct`` share
+that truncated product (``_mercer_sum``). The truncation at q_cap keeps
+the ANOVA zeros exact in the sum as well: phi_k has an exactly zero
+constant term for k >= 1, so a profile with more than D nonzero degrees
+only reaches powers u^q with q > D, which are never summed.
 """
 
 from __future__ import annotations
@@ -45,11 +59,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, FitError, TruncationError
-# funk_hecke_eigenvalue and power are unused here; perfbench/layers.py wraps
-# both names on this module
+# funk_hecke_eigenvalue, power and zonal_poly_table are unused here;
+# perfbench/layers.py wraps these names on this module
 from .harmonics import (funk_hecke_eigenvalue, harmonic_dim, sphere_surface,
-                        zonal_poly_table)
-from .image import PatchedImage
+                        zonal_features, zonal_poly_table)
+from .image import stack_patches
 from .kernel import KernelSpec
 from .taylor import CoeffSeries, power, power_table
 
@@ -184,10 +198,39 @@ def profile_multiplicity(profile: tuple, d: int) -> int:
     return arrangements * dims
 
 
-def _phi_poly(table: LambdaTable, k: int, q_cap: int) -> np.ndarray:
-    alphas = np.arange(q_cap + 1)
-    return table.lam[k, :q_cap + 1] / np.array(
-        [math.factorial(a) for a in alphas], dtype=float)
+def _factorials(size: int) -> np.ndarray:
+    return np.array([math.factorial(a) for a in range(size)], dtype=float)
+
+
+def _outer_weights(spec: KernelSpec, table: LambdaTable) -> np.ndarray:
+    """a_q q! for q <= q_cap, refusing a table or outer series too short."""
+    q_cap = spec.q_cap
+    if q_cap > table.a_max:
+        raise TruncationError(
+            f"outer degree {q_cap} needs lambda table up to alpha={q_cap}, "
+            f"have {table.a_max}")
+    if spec.D != math.inf and spec.D > spec.g.order:
+        raise TruncationError(
+            f"outer degree {spec.D:.0f} exceeds the stored expansion "
+            f"(Q_max={spec.g.order}); raise Q_max for exact coefficients")
+    return np.array(spec.g.coeffs[: q_cap + 1]) * _factorials(q_cap + 1)
+
+
+def _mercer_sum(weights: np.ndarray, factors) -> np.ndarray:
+    """sum_q weights[q] [u^q] prod_i factors[i](u), truncated at u^{Q-1}.
+
+    ``factors`` holds one (..., Q) array of coefficients in u per patch,
+    over any batch shape; Q = len(weights). Powers past Q-1 are dropped,
+    never summed: that keeps the ANOVA zeros exact.
+    """
+    q = weights.size
+    poly = factors[0]
+    for f in factors[1:]:
+        nxt = np.zeros_like(poly)
+        for j in range(q):
+            nxt[..., j:] += poly[..., j:j + 1] * f[..., :q - j]
+        poly = nxt
+    return poly @ weights
 
 
 def mu_eigenvalue(spec: KernelSpec, profile, table: LambdaTable) -> float:
@@ -199,22 +242,10 @@ def mu_eigenvalue(spec: KernelSpec, profile, table: LambdaTable) -> float:
     nonzero = [k for k in prof if k > 0]
     if spec.D != math.inf and len(nonzero) > spec.d_star:
         return 0.0
-    q_cap = spec.q_cap
-    if q_cap > table.a_max:
-        raise TruncationError(
-            f"outer degree {q_cap} needs lambda table up to alpha={q_cap}, "
-            f"have {table.a_max}")
-    if spec.D != math.inf and spec.D > spec.g.order:
-        raise TruncationError(
-            f"outer degree {spec.D:.0f} exceeds the stored expansion "
-            f"(Q_max={spec.g.order}); raise Q_max for exact coefficients")
-    poly = np.zeros(q_cap + 1)
-    poly[0] = 1.0
-    for k in prof:
-        poly = np.convolve(poly, _phi_poly(table, k, q_cap))[: q_cap + 1]
-    a_q = spec.g.coeffs
-    return float(sum(a_q[q] * math.factorial(q) * poly[q]
-                     for q in range(min(q_cap, spec.g.order) + 1)))
+    weights = _outer_weights(spec, table)
+    q = weights.size
+    fact = _factorials(q)
+    return float(_mercer_sum(weights, [table.lam[k, :q] / fact for k in prof]))
 
 
 def enumerate_spectrum(spec: KernelSpec, table: LambdaTable,
@@ -320,8 +351,9 @@ def fit_decay(entries: list, p_grid=None, m_min: int = 1,
 class SpectralExpansion:
     """Mercer-sum evaluator for a fixed kernel, table, and degree cutoff.
 
-    Caches mu per canonical profile; reconstruct() multiplies by kappa^n so
-    the sum targets the scalar kernel under the unnormalized measure.
+    reconstruct() evaluates the factorized sum over every profile with
+    degrees <= k_max (module docstring) and multiplies by kappa^n, so the
+    sum targets the scalar kernel under the unnormalized measure.
     """
 
     def __init__(self, spec: KernelSpec, table: LambdaTable, k_max: int):
@@ -330,52 +362,19 @@ class SpectralExpansion:
         self.spec = spec
         self.table = table
         self.k_max = min(k_max, table.k_max)
-        self.w_max = min(spec.d_star, spec.n)
-        self._mu_cache: dict[tuple, float] = {}
-        self._dims = np.array([harmonic_dim(k, spec.d)
-                               for k in range(self.k_max + 1)])
-        self._surface = sphere_surface(spec.d)
+        self._weights = _outer_weights(spec, table)
+        q = self._weights.size
+        self._phi = table.lam[: self.k_max + 1, :q] / _factorials(q)
 
-    def _mu(self, profile: tuple) -> float:
-        if profile not in self._mu_cache:
-            self._mu_cache[profile] = mu_eigenvalue(self.spec, profile,
-                                                    self.table)
-        return self._mu_cache[profile]
-
-    def _zonal_vectors(self, x: PatchedImage, y: PatchedImage) -> np.ndarray:
-        t = np.clip(np.einsum("nd,nd->n", x.patches, y.patches), -1.0, 1.0)
-        P = zonal_poly_table(self.k_max, self.spec.d, t)
-        return (self._dims[:, None] / self._surface) * P  # (k_max+1, n)
-
-    def reconstruct(self, x: PatchedImage, y: PatchedImage) -> float:
-        n = self.spec.n
-        if x.n != n or y.n != n or x.d != self.spec.d or y.d != self.spec.d:
+    def reconstruct(self, xs, ys) -> np.ndarray:
+        """Spectral kernel values K(xs[i], ys[i]); shape (count,)."""
+        a, b = stack_patches(xs), stack_patches(ys)
+        if a.shape != b.shape or a.shape[1:] != (self.spec.n, self.spec.d):
             raise ValueError("inputs do not match the kernel layout")
-        Z = self._zonal_vectors(x, y)
-        z0 = Z[0]  # degree-0 factor per patch
-        total = 0.0
-        for w in range(self.w_max + 1):
-            for support in itertools.combinations(range(n), w):
-                base = 1.0
-                for j in range(n):
-                    if j not in support:
-                        base *= z0[j]
-                for ks in itertools.product(range(1, self.k_max + 1),
-                                            repeat=w):
-                    mu = self._mu(canonical_profile(ks, n))
-                    if mu == 0.0:
-                        continue
-                    term = mu * base
-                    for pos, k in zip(support, ks):
-                        term *= Z[k, pos]
-                    total += term
-        return total * self.table.kappa ** n
-
-
-def mercer_reconstruct(spec: KernelSpec, table: LambdaTable,
-                       x: PatchedImage, y: PatchedImage, k_max: int) -> float:
-    """One-shot spectral kernel value; see SpectralExpansion for loops."""
-    return SpectralExpansion(spec, table, k_max).reconstruct(x, y)
+        Z = zonal_features(self.k_max, self.spec.d,
+                           np.einsum("mnd,mnd->nm", a, b))  # (k, n, count)
+        F = Z.transpose(1, 2, 0) @ self._phi  # (n, count, Q)
+        return _mercer_sum(self._weights, F) * self.table.kappa ** self.spec.n
 
 
 def eigenvalue_windows(table: LambdaTable, r: float, alphas=(1, 2, 3, 4),

@@ -112,6 +112,14 @@ def geometric_series(r: float, order: int) -> CoeffSeries:
     return series_from([r ** m for m in range(order + 1)], nonneg=True)
 
 
+def _computed_series(coeffs: list, nonneg: bool) -> CoeffSeries:
+    """Series from computed coefficients; one past the double range raises
+    OverflowError, as ``math.fsum`` itself does on intermediate overflow."""
+    if not all(map(math.isfinite, coeffs)):
+        raise OverflowError("series coefficients overflow the double range")
+    return CoeffSeries(tuple(coeffs), nonneg=nonneg)
+
+
 def cauchy_product(a: CoeffSeries, b: CoeffSeries, order: int) -> CoeffSeries:
     """Truncated product: result[m] = sum_{k<=m} a[k] b[m-k].
 
@@ -125,7 +133,7 @@ def cauchy_product(a: CoeffSeries, b: CoeffSeries, order: int) -> CoeffSeries:
         lo = max(0, m - len(cb) + 1)
         hi = min(m, len(ca) - 1)
         out.append(math.fsum(ca[k] * cb[m - k] for k in range(lo, hi + 1)))
-    return CoeffSeries(tuple(out), nonneg=a.nonneg and b.nonneg)
+    return _computed_series(out, a.nonneg and b.nonneg)
 
 
 def power(a: CoeffSeries, alpha: int, order: int) -> CoeffSeries:
@@ -167,9 +175,7 @@ def power_table(a: CoeffSeries, order: int) -> Callable[[int], CoeffSeries]:
     return table
 
 
-def compose(outer: CoeffSeries,
-            inner_powers: Callable[[int], CoeffSeries],
-            order: int,
+def compose(outer: CoeffSeries, inner: CoeffSeries, order: int,
             l_max: int = DEFAULT_L_MAX,
             tol: float = DEFAULT_COMPOSE_TOL) -> CoeffSeries:
     """Coefficients of outer(inner(x)) truncated at ``order``.
@@ -178,35 +184,24 @@ def compose(outer: CoeffSeries,
     term every l contributes to every coefficient, so the truncation tail is
     estimated (see composition_tail) and must fall below ``tol``.
     """
-    series, tail = compose_with_tail(outer, inner_powers, order, l_max)
+    _check_order(order)
+    powers = power_table(inner, order)
+    tail = composition_tail(outer, powers(1), l_max)
     if tail > tol:
         raise ConvergenceError(
             f"composition tail estimate {tail:.3e} above tolerance {tol:.1e} "
             f"at l_max={l_max}")
-    return series
-
-
-def compose_with_tail(outer: CoeffSeries,
-                      inner_powers: Callable[[int], CoeffSeries],
-                      order: int,
-                      l_max: int = DEFAULT_L_MAX) -> tuple[CoeffSeries, float]:
-    """compose() that also returns the tail estimate instead of raising."""
-    _check_order(order)
-    acc = [0.0] * (order + 1)
     terms = [[] for _ in range(order + 1)]
-    l_top = min(l_max, outer.order)
-    for l in range(l_top + 1):
+    for l in range(min(l_max, outer.order) + 1):
         ol = outer.coeffs[l]
         if ol == 0.0:
             continue
-        pw = inner_powers(l)
+        pw = powers(l)
         for m in range(order + 1):
             v = ol * pw.coeffs[m]
             if v != 0.0:
                 terms[m].append(v)
-    acc = [math.fsum(t) for t in terms]
-    tail = composition_tail(outer, inner_powers(1), l_max)
-    return CoeffSeries(tuple(acc), nonneg=outer.nonneg), tail
+    return _computed_series([math.fsum(t) for t in terms], outer.nonneg)
 
 
 def composition_tail(outer: CoeffSeries, inner: CoeffSeries,
@@ -245,13 +240,6 @@ def composition_tail(outer: CoeffSeries, inner: CoeffSeries,
         return math.inf
     step = (t2 / t1) ** (1.0 / (l2 - l1))
     return t2 * step / (1.0 - step)
-
-
-def compose_series(outer: CoeffSeries, inner: CoeffSeries, order: int,
-                   l_max: int = DEFAULT_L_MAX,
-                   tol: float = DEFAULT_COMPOSE_TOL) -> CoeffSeries:
-    """compose() with the power table built from ``inner``."""
-    return compose(outer, power_table(inner, order), order, l_max=l_max, tol=tol)
 
 
 def eval_series(a: CoeffSeries, t):

@@ -1,13 +1,25 @@
 """Shared oracles used across test modules.
 
 These deliberately avoid the library code paths they check: convolution by
-explicit double loop, derivatives by central finite differences.
+explicit double loop, derivatives by central finite differences, the Mercer
+sum profile by profile with scalar zonal polynomials.
 """
 
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+from harmonica.harmonics import harmonic_dim, sphere_surface, zonal_poly
+from harmonica.spectrum import mu_eigenvalue
+
+# HYPOTHESIS_PROFILE=ci (set by the CI workflow) runs the same examples on
+# every push
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def brute_force_product(a, b, order):
@@ -25,6 +37,37 @@ def brute_force_power(a, alpha, order):
     for _ in range(alpha):
         out = brute_force_product(out, a, order)
     return out
+
+
+def scalar_zonal_feature(k, d, x, y):
+    """(N(d,k) / |S^{d-1}|) P_{k,d}(<x, y>) from the scalar zonal_poly."""
+    t = min(1.0, max(-1.0, float(np.dot(x, y))))
+    return harmonic_dim(k, d) / sphere_surface(d) * zonal_poly(k, d, t)
+
+
+def brute_force_mercer(spec, table, k_max, x, y):
+    """kappa^n sum_k mu(k) prod_i Z[k_i, i], one profile at a time.
+
+    Supports of at most min(D, n) patches carry the nonzero degrees; every
+    degree assignment on a support (itertools.product) gets its own
+    mu_eigenvalue call. The other patches sit at degree 0.
+    """
+    n = spec.n
+    z = [[scalar_zonal_feature(k, spec.d, x.patches[i], y.patches[i])
+          for i in range(n)] for k in range(k_max + 1)]
+    total = 0.0
+    for w in range(min(spec.d_star, n) + 1):
+        for support in itertools.combinations(range(n), w):
+            base = math.prod(z[0][j] for j in range(n) if j not in support)
+            for ks in itertools.product(range(1, k_max + 1), repeat=w):
+                mu = mu_eigenvalue(spec, ks, table)
+                if mu == 0.0:
+                    continue
+                term = mu * base
+                for pos, k in zip(support, ks):
+                    term *= z[k][pos]
+                total += term
+    return total * table.kappa ** n
 
 
 def fd_stencil(m, npts, h):

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmonica
 from harmonica.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
@@ -66,6 +68,70 @@ def test_reconstruct_command_and_tolerance_exit(tmp_path):
     rc2, _ = run(tmp_path, "reconstruct", cfg, name="f.csv",
                  extra=("--tolerance", "1e-18", "--kmax", "2"))
     assert rc2 == EXIT_TOLERANCE
+
+
+def test_reconstruct_zero_kernel_measures_absolute_error(tmp_path):
+    # K == 0 identically, so K(x, x) = 0 cannot scale the error
+    cfg = {"kernel": {"layers": [{"activation": "poly", "coeffs": [0, 0, 0]},
+                                 {"activation": "square"}], "n": 2, "d": 3},
+           "k_max": 3, "pairs": 2}
+    rc, out = run(tmp_path, "reconstruct", cfg)
+    assert rc == EXIT_OK
+    _, rows = read_rows(out)
+    assert [float(v) for r in rows for v in r[1:]] == [0.0] * 6
+
+
+@pytest.mark.parametrize("layers", [
+    # f1^2 in the lambda table, the outer composition's tail, lambda itself
+    [{"activation": "custom", "coeffs": [1e200, 1e200]},
+     {"activation": "square"}],
+    [{"activation": "exp"}, {"activation": "custom", "coeffs": [1e200, 1e200]},
+     {"activation": "geometric", "ratio": 0.5}],
+    [{"activation": "custom", "coeffs": [1.7e308, 1.7e308]}],
+], ids=["product", "composition-tail", "lambda"])
+def test_reconstruct_overflow_is_numerical_failure(tmp_path, layers):
+    cfg = {"kernel": {"layers": layers, "n": 1, "d": 2}, "k_max": 1,
+           "pairs": 1}
+    rc, out = run(tmp_path, "reconstruct", cfg)
+    assert rc == EXIT_TOLERANCE
+    assert not out.exists()
+
+
+# every finite float is schema-valid: huge coefficients overflow the series
+# arithmetic, which must end in exit 3, not a traceback
+_COEFFS = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=0, max_size=6)
+_LAYER = st.one_of(
+    st.builds(lambda kind: {"activation": kind},
+              st.sampled_from(["exp", "square", "identity", "erf_sigmoid",
+                               "smooth_hinge", "geometric", "poly", "custom"])),
+    st.builds(lambda kind, c: {"activation": kind, "coeffs": c},
+              st.sampled_from(["poly", "custom"]), _COEFFS),
+    st.builds(lambda r: {"activation": "geometric", "ratio": r},
+              st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                        exclude_max=True)),
+)
+_TRUNCATION = st.fixed_dictionaries({}, optional={
+    "K_max": st.integers(0, 8), "A_max": st.integers(0, 8),
+    "Q_max": st.integers(1, 24), "order": st.integers(1, 48),
+    "L_max": st.integers(1, 24),
+    "s_tol": st.floats(min_value=0.0, exclude_min=True,
+                       allow_infinity=False)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(layers=st.lists(_LAYER, min_size=1, max_size=3),
+       n=st.integers(1, 3), d=st.integers(2, 4),
+       truncation=st.one_of(st.none(), _TRUNCATION),
+       k_max=st.integers(1, 6), pairs=st.integers(1, 3))
+def test_reconstruct_exit_codes_fuzz(layers, n, d, truncation, k_max, pairs):
+    kernel = {"layers": layers, "n": n, "d": d}
+    if truncation is not None:
+        kernel["truncation"] = truncation
+    cfg = {"kernel": kernel, "k_max": k_max, "pairs": pairs}
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, _ = run(Path(tmp), "reconstruct", cfg)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
 
 
 def test_learning_curve_command(tmp_path):

@@ -12,7 +12,10 @@ from harmonica.krr import (Dataset, Schedule, SourceTarget, apply_target,
                            closed_form_top_eigs, learning_curve, mse,
                            nystrom_eigs, predict, rls_fit, rls_objective,
                            schedule_lambda)
-from harmonica.spectrum import enumerate_spectrum, lambda_table
+from harmonica.spectrum import (canonical_profile, enumerate_spectrum,
+                                lambda_table, mu_eigenvalue)
+
+from conftest import scalar_zonal_feature
 
 EI = [activation("exp"), activation("identity")]
 
@@ -185,6 +188,28 @@ def test_source_target_in_rkhs_and_batch():
                                [tgt(x) for x in xs], rtol=1e-12)
     with pytest.raises(ValueError):
         SourceTarget(spec, tab, anchor, [((1, 1), 1.0)])  # mu = 0 leaves RKHS
+
+
+def test_source_target_matches_scalar_addition_theorem():
+    spec = build_kernel([activation("exp"), activation("square")], 3, 3)
+    tab = lambda_table(spec.f1, 3, 4, spec.q_cap)
+    anchor = sample_uniform(3, 3, 44)
+    profiles = [((2, 1), 0.7), ((0, 4), -1.2), ((3,), 0.4)]
+    tgt = SourceTarget(spec, tab, anchor, profiles, beta=1.5)
+    xs = sample_uniform_batch(6, 3, 3, 45)
+    want = []
+    for x in xs:
+        total = 0.0
+        for prof, coeff in profiles:
+            prof = canonical_profile(prof, 3)
+            mu = mu_eigenvalue(spec, prof, tab) * tab.kappa ** 3
+            term = coeff * mu ** 0.75
+            for i, k in enumerate(prof):
+                term *= scalar_zonal_feature(k, 3, x.patches[i],
+                                             anchor.patches[i])
+            total += term
+        want.append(total)
+    np.testing.assert_allclose(tgt.batch(xs), want, rtol=1e-12, atol=0.0)
 
 
 def test_learning_curve_zero_target():

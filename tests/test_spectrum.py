@@ -14,10 +14,12 @@ from harmonica import spectrum
 from harmonica.spectrum import (KAPPA, SpectralExpansion, SpectrumEntry,
                                 canonical_profile, counting_function,
                                 enumerate_spectrum, expand_spectrum, fit_decay,
-                                lambda_table, mercer_reconstruct, mu_eigenvalue,
+                                lambda_table, mu_eigenvalue,
                                 profile_multiplicity, eigenvalue_windows)
-from harmonica.taylor import (compose_series, exp_series, geometric_series,
+from harmonica.taylor import (compose, exp_series, geometric_series,
                               power, series_from)
+
+from conftest import brute_force_mercer
 
 EXP = exp_series(64)
 
@@ -180,7 +182,7 @@ def test_mu_single_patch_matches_composed_quadrature():
     # eigenvalue of (g o f1) up to kappa
     spec = build_kernel([activation("exp"), activation("square")], 1, 3)
     tab = lambda_table(spec.f1, 3, 10, spec.q_cap)
-    gf1 = compose_series(spec.g, spec.f1, 64)
+    gf1 = compose(spec.g, spec.f1, 64)
     for k in range(11):
         mu = mu_eigenvalue(spec, (k,), tab)
         fh = funk_hecke_eigenvalue(gf1, k, 3)
@@ -306,8 +308,10 @@ def test_mercer_reconstruction_error_shrinks_with_k_max():
     x = sample_uniform(1, 3, 0)
     y = sample_uniform(1, 3, 1)
     direct = eval_kernel(spec, x, y)
-    errs = [abs(direct - mercer_reconstruct(spec, tab, x, y, km))
-            for km in (5, 10, 20)]
+    errs = []
+    for km in (5, 10, 20):
+        got = SpectralExpansion(spec, tab, km).reconstruct([x], [y])[0]
+        errs.append(abs(direct - got))
     assert errs[0] >= errs[1] >= errs[2]
     assert errs[2] / spec.diag_value() <= 1e-6
 
@@ -316,7 +320,7 @@ def test_mercer_reconstruction_diag_n2():
     spec = build_kernel([activation("exp"), activation("square")], 2, 3)
     tab = lambda_table(spec.f1, 3, 12, spec.q_cap)
     x = sample_uniform(2, 3, 4)
-    got = mercer_reconstruct(spec, tab, x, x, 12)
+    got = SpectralExpansion(spec, tab, 12).reconstruct([x], [x])[0]
     assert got == pytest.approx(spec.diag_value(), abs=1e-5 * spec.diag_value())
 
 
@@ -331,10 +335,10 @@ def test_reconstruction_covers_integral_activations():
         assert tab.kappa == pytest.approx(2.0, rel=1e-9)
         expansion = SpectralExpansion(spec, tab, 20)
         scale = spec.diag_value()
-        for i in range(5):
-            x = sample_uniform(2, 3, (31, i))
-            y = sample_uniform(2, 3, (32, i))
-            err = abs(eval_kernel(spec, x, y) - expansion.reconstruct(x, y))
+        xs = [sample_uniform(2, 3, (31, i)) for i in range(5)]
+        ys = [sample_uniform(2, 3, (32, i)) for i in range(5)]
+        for x, y, got in zip(xs, ys, expansion.reconstruct(xs, ys)):
+            err = abs(eval_kernel(spec, x, y) - got)
             assert err <= 1e-5 * scale
 
 
@@ -343,11 +347,46 @@ def test_spectral_expansion_multiple_pairs():
     tab = lambda_table(spec.f1, 2, 12, spec.q_cap)
     expansion = SpectralExpansion(spec, tab, 12)
     scale = spec.diag_value()
-    for i in range(10):
-        x = sample_uniform(3, 2, (7, i))
-        y = sample_uniform(3, 2, (8, i))
-        err = abs(eval_kernel(spec, x, y) - expansion.reconstruct(x, y))
+    xs = [sample_uniform(3, 2, (7, i)) for i in range(10)]
+    ys = [sample_uniform(3, 2, (8, i)) for i in range(10)]
+    for x, y, got in zip(xs, ys, expansion.reconstruct(xs, ys)):
+        err = abs(eval_kernel(spec, x, y) - got)
         assert err <= 1e-5 * scale
+
+
+# (outer layers, n, d, k_max): D = 1, 2, 4 and inf; D < n in the first two
+# rows, where profiles with more than D nonzero degrees must drop out exactly
+MERCER_ORACLE_CASES = [
+    (["identity"], 3, 3, 6),
+    (["square"], 4, 3, 5),
+    (["square"], 2, 2, 8),
+    (["square", "square"], 4, 2, 4),
+    (["exp"], 3, 3, 5),
+    (["exp"], 1, 4, 10),
+]
+
+
+@pytest.mark.parametrize("outer, n, d, k_max", MERCER_ORACLE_CASES)
+def test_reconstruct_matches_per_profile_oracle(outer, n, d, k_max):
+    spec = build_kernel([activation("exp")] + [activation(a) for a in outer],
+                        n, d)
+    tab = lambda_table(spec.f1, d, k_max, spec.q_cap)
+    xs = [sample_uniform(n, d, (61, i)) for i in range(3)]
+    ys = [sample_uniform(n, d, (62, i)) for i in range(3)]
+    got = SpectralExpansion(spec, tab, k_max).reconstruct(xs, ys)
+    want = [brute_force_mercer(spec, tab, k_max, x, y) for x, y in zip(xs, ys)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_reconstruct_refuses_short_table_and_outer_series():
+    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
+    with pytest.raises(TruncationError):
+        SpectralExpansion(spec, lambda_table(spec.f1, 3, 4, 1), 4)
+    poly6 = activation("poly", coeffs=[0.0] * 6 + [1.0])
+    short = build_kernel([activation("exp"), poly6], 2, 3,
+                         TruncationConfig(q_max=4))
+    with pytest.raises(TruncationError):
+        SpectralExpansion(short, lambda_table(short.f1, 3, 4, 6), 4)
 
 
 def test_eigenvalue_windows_shape():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonica.errors import ConvergenceError, TruncationCapError
-from harmonica.taylor import (CoeffSeries, cauchy_product, compose,
-                              compose_series, compose_with_tail, eval_series,
+from harmonica.taylor import (DEFAULT_L_MAX, CoeffSeries, cauchy_product,
+                              compose, composition_tail, eval_series,
                               exp_series, geometric_series, identity_series,
                               power, power_table, series_from)
 
@@ -52,19 +52,19 @@ def test_power_geometric_square():
 
 def test_compose_identity_outer():
     inner = geometric_series(0.3, 6)
-    got = compose(identity_series(6), power_table(inner, 6), 6)
+    got = compose(identity_series(6), inner, 6)
     assert got.coeffs == inner.coeffs
 
 
 def test_compose_square_outer():
     outer = series_from([0.0, 0.0, 1.0])
     inner = series_from([1.0, 1.0], order=2)
-    assert compose_series(outer, inner, 2).coeffs == (1.0, 2.0, 1.0)
+    assert compose(outer, inner, 2).coeffs == (1.0, 2.0, 1.0)
 
 
 def test_compose_exp_exp_against_finite_differences():
     # coefficients of e^{e^x}; the oracle differentiates the scalar function
-    got = compose_series(exp_series(64), exp_series(64), 4)
+    got = compose(exp_series(64), exp_series(64), 4)
 
     def f(x):
         return math.exp(math.exp(x))
@@ -79,9 +79,8 @@ def test_compose_reports_divergence():
     outer = geometric_series(0.9, 64)
     inner = exp_series(64)
     with pytest.raises(ConvergenceError):
-        compose(outer, power_table(inner, 8), 8)
-    _, tail = compose_with_tail(outer, power_table(inner, 8), 8)
-    assert tail == math.inf
+        compose(outer, inner, 8)
+    assert composition_tail(outer, inner.truncated(8), DEFAULT_L_MAX) == math.inf
 
 
 def test_eval_series_examples():
@@ -183,6 +182,23 @@ def test_power_table_bitwise_equals_power(coeffs, order, alpha):
     want = power(a, alpha, order)
     assert got.coeffs == want.coeffs
     assert got.nonneg == want.nonneg
+
+
+@settings(max_examples=60, deadline=None)
+@given(outer=st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1,
+                      max_size=4),
+       r=st.floats(min_value=0.0, max_value=0.5),
+       t=st.floats(min_value=-0.25, max_value=0.25))
+def test_compose_matches_nested_evaluation(outer, r, t):
+    # inner 1/(1 - r x) cut at degree 40, |r t| <= 1/8: with outer degree
+    # <= 3 every dropped term is below C(43, 2) (r t)^41 < 1e-33
+    # two trailing zeros mark the outer series as a finite polynomial
+    outer = series_from(outer + [0.0, 0.0], nonneg=True)
+    inner = series_from([r ** m for m in range(41)], nonneg=True)
+    composed = compose(outer, inner, 40)
+    want = eval_series(outer, eval_series(inner, t))
+    scale = eval_series(composed, abs(t))
+    assert abs(eval_series(composed, t) - want) <= 1e-13 * scale
 
 
 def test_geometric_power_coefficient_window():
