@@ -9,6 +9,7 @@ header carries the config hash and tool version. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -19,14 +20,13 @@ import sys
 import jsonschema
 import numpy as np
 
-from . import __version__
+from . import __version__, cnn
 from .activations import ActivationSpec, activation
-from .cnn import forward, random_params
 from .errors import ConfigError, FitError, HarmonicaError
 from .image import (PatchConfig, extract_patches, grid_locations, load_image,
                     sample_uniform_batch)
 from .kernel import KernelSpec, TruncationConfig, build_kernel, eval_kernel
-from .krr import (Schedule, SourceTarget, closed_form_top_eigs, cnn_target,
+from .krr import (Schedule, SourceTarget, closed_form_top_eigs,
                   learning_curve, nystrom_eigs)
 from .schema import SCHEMAS
 from .spectrum import (SpectralExpansion, enumerate_spectrum, fit_decay,
@@ -51,8 +51,11 @@ def load_config(path: str, command: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    def refuse(name: str):  # Python's json accepts NaN and Infinity; JSON not
+        raise ConfigError(f"{path}: non-finite number {name}")
+
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -78,6 +81,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a new file next to ``path`` that replaces ``path``
+    when the block completes; on any exception the new file is removed and
+    ``path`` is left as it was."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="ascii", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(path: str, command: str, cfg: dict, seed: int,
               columns: list, rows: list) -> None:
     lines = [f"# harmonica {__version__}",
@@ -87,7 +106,7 @@ def write_csv(path: str, command: str, cfg: dict, seed: int,
              "# columns: " + ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -96,7 +115,7 @@ def write_json(path: str, command: str, cfg: dict, seed: int,
     doc = {"harmonica": __version__, "command": command,
            "config_sha256": config_hash(cfg), "seed": seed}
     doc.update(payload)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -199,13 +218,17 @@ def cmd_reconstruct(cfg: dict, out: str, seed: int, args) -> int:
 
 def _network_from(cfg_net: dict, n: int, d: int, seed) -> tuple:
     acts = [_activation_from(a) for a in cfg_net["activations"]]
-    params = random_params(
+    params = cnn.random_params(
         n, d, cfg_net["filters"], cfg_net.get("patch_sizes", ()), seed=seed,
         boundary=cfg_net.get("boundary", "circular"),
         pooling=cfg_net.get("pooling", "identity"))
     scale = cfg_net.get("weight_scale")
     if scale is not None:
-        params = dataclasses.replace(params, w_out=params.w_out * float(scale))
+        try:
+            params = dataclasses.replace(params,
+                                         w_out=params.w_out * float(scale))
+        except ValueError as exc:  # the scaled weights overflow
+            raise ConfigError(f"network weight_scale {scale!r}: {exc}") from exc
     if len(acts) != params.num_layers:
         raise ConfigError("network activations must match filter count")
     return params, acts
@@ -215,10 +238,12 @@ def _target_from(cfg: dict, spec: KernelSpec, seed):
     doc = cfg["target"]
     kind = doc["type"]
     if kind == "zero":
-        return lambda x: 0.0
+        return lambda xs: np.zeros(len(xs))
     if kind == "network":
+        if "network" not in doc:
+            raise ConfigError("target: type network needs a network")
         params, acts = _network_from(doc["network"], spec.n, spec.d, (seed, 7))
-        return cnn_target(params, acts)
+        return lambda xs: cnn.forward(params, acts, xs)
     profiles = [(tuple(p["degrees"]), p.get("coeff", 1.0))
                 for p in doc.get("profiles", [{"degrees": [1], "coeff": 1.0}])]
     if any(not p for p, _ in profiles):
@@ -257,6 +282,8 @@ def cmd_gram_eig(cfg: dict, out: str, seed: int, args) -> int:
     k_max = _override(args.kmax, cfg, "k_max", spec.trunc.k_max)
     ell = int(cfg.get("ell", 2000))
     top_k = int(cfg.get("top_k", 10))
+    if top_k > ell:
+        raise ConfigError(f"top_k={top_k} exceeds the sample count ell={ell}")
     table = _table_for(spec, k_max)
     entries = enumerate_spectrum(spec, table, k_max)
     closed = closed_form_top_eigs(spec, table, entries, top_k)
@@ -275,7 +302,7 @@ def cmd_cnn_label(cfg: dict, out: str, seed: int, args) -> int:
     if "images" in cfg:
         doc = cfg["images"]
         r = int(doc["r"])
-        xs = []
+        rows = []
         for path in doc["paths"]:
             try:
                 img = load_image(path)
@@ -285,26 +312,26 @@ def cmd_cnn_label(cfg: dict, out: str, seed: int, args) -> int:
             if locs is None:
                 locs = grid_locations(img.h, img.w, r, doc.get("stride"))
             pc = PatchConfig(r=r, locations=tuple(tuple(v) for v in locs))
-            xs.append(extract_patches(img, pc))
-        n, d = xs[0].n, xs[0].d
-        if any(x.n != n or x.d != d for x in xs):
+            rows.append(extract_patches(img, pc))
+        if any(x.shape != rows[0].shape for x in rows):
             raise ConfigError("images yield inconsistent patch layouts")
+        xs = np.stack(rows)
     else:
         if "n" not in cfg or "d" not in cfg:
             raise ConfigError("synthetic sampling needs n and d")
-        n, d = int(cfg["n"]), int(cfg["d"])
-        xs = sample_uniform_batch(int(cfg.get("count", 100)), n, d, (seed, 3))
-    params, acts = _network_from(cfg["network"], n, d, (seed, 7))
-    lines = [json.dumps({"harmonica": __version__, "command": "cnn-label",
-                         "config_sha256": config_hash(cfg), "seed": seed},
-                        sort_keys=True)]
-    for x in xs:
-        label = forward(params, acts, x)
-        lines.append(json.dumps(
-            {"patches": [[float(f"{v:.17g}") for v in row] for row in x.patches],
-             "label": float(f"{label:.17g}")}, sort_keys=True))
-    with open(out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        xs = sample_uniform_batch(int(cfg.get("count", 100)), int(cfg["n"]),
+                                  int(cfg["d"]), (seed, 3))
+    params, acts = _network_from(cfg["network"], xs.shape[1], xs.shape[2],
+                                 (seed, 7))
+    labels = cnn.forward(params, acts, xs)
+    with _atomic_open(out) as fh:
+        fh.write(json.dumps({"harmonica": __version__, "command": "cnn-label",
+                             "config_sha256": config_hash(cfg), "seed": seed},
+                            sort_keys=True) + "\n")
+        for x, label in zip(xs, labels.tolist()):
+            fh.write(json.dumps(
+                {"patches": [[float(f"{v:.17g}") for v in row] for row in x],
+                 "label": float(f"{label:.17g}")}, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .activations import evaluate
 from .errors import StructuralError
-from .image import PatchedImage
 
 BOUNDARY_MODES = ("circular", "valid")
 
@@ -104,38 +103,46 @@ class NetworkParams:
         return len(self.weights)
 
 
-def _extract(state: np.ndarray, width: int, boundary: str) -> np.ndarray:
-    """Windows of ``width`` consecutive rows of (n_k, p) state, flattened
-    row-major; one window per output patch position."""
-    n_k = state.shape[0]
+def _windows(n_k: int, width: int, boundary: str) -> np.ndarray:
+    """Row indices of the extraction windows: entry [q, l] is the position
+    read as row l of output patch q (q + l, wrapped when circular)."""
     count = next_patch_count(n_k, width, boundary)
-    rows = []
-    for q in range(count):
-        idx = [(q + l) % n_k for l in range(width)] if boundary == "circular" \
-            else list(range(q, q + width))
-        rows.append(state[idx].reshape(-1))
-    return np.asarray(rows)
+    idx = np.arange(count)[:, None] + np.arange(width)
+    return idx % n_k if boundary == "circular" else idx
 
 
-def forward(params: NetworkParams, activations: list, x: PatchedImage) -> float:
-    """Network output <X^N, W^N> for one patched image."""
+def forward(params: NetworkParams, activations: list, xs) -> np.ndarray:
+    """Network outputs <X^N, W^N> for a (count, n, d) batch of patched
+    images; shape (count,).
+
+    Each layer is one matrix product over the whole batch, then the
+    nonlinearity, pooling across patch positions, and the extraction of
+    the next layer's windows (rows of each window flattened row-major).
+    """
     N = params.num_layers
     if len(activations) != N:
         raise StructuralError(f"{len(activations)} activations for {N} layers")
-    if x.n != params.n_sizes[0] or x.d != params.d_sizes[0]:
+    state = np.asarray(xs, dtype=float)  # (count, n_k, d_k * p_k)
+    front = (params.n_sizes[0], params.d_sizes[0])
+    if state.ndim != 3 or state.shape[1:] != front:
         raise StructuralError(
-            f"input ({x.n},{x.d}) does not match network front "
-            f"({params.n_sizes[0]},{params.d_sizes[0]})")
-    state = x.patches  # (n_k, d_k * p_k)
+            f"input batch {state.shape} does not match network front "
+            f"(count,{front[0]},{front[1]})")
+    count = state.shape[0]
     for k in range(N):
-        pre = state @ params.weights[k].T          # (n_k, p_{k+1})
+        n_k, p_next = params.n_sizes[k], params.p_sizes[k + 1]
+        w = params.weights[k]
+        pre = (state.reshape(count * n_k, w.shape[1]) @ w.T).reshape(
+            count, n_k, p_next)
         post = np.asarray(evaluate(activations[k], pre), dtype=float)
-        pooled = params.poolings[k] @ post          # (n_k, p_{k+1})
+        pooled = np.einsum("ij,cjp->cip", params.poolings[k], post)
         if k < N - 1:
-            state = _extract(pooled, params.d_sizes[k + 1], params.boundary)
+            idx = _windows(n_k, params.d_sizes[k + 1], params.boundary)
+            state = pooled[:, idx].reshape(count, idx.shape[0],
+                                           idx.shape[1] * p_next)
         else:
-            state = pooled.reshape(-1)              # d_{N+1} = n_N, one patch
-    return float(np.dot(state, params.w_out))
+            state = pooled.reshape(count, n_k * p_next)  # one final patch
+    return state @ params.w_out
 
 
 def identity_pooling(n: int) -> np.ndarray:

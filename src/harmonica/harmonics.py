@@ -85,8 +85,42 @@ def zonal_pair_sum(k: int, d: int, x: np.ndarray, y: np.ndarray) -> float:
 
 @lru_cache(maxsize=256)
 def _jacobi_nodes(n: int, exponent: float):
-    from scipy.special import roots_jacobi  # test oracle only: keep off start-up
-    x, w = roots_jacobi(n, exponent, exponent)
+    """n-point Gauss rule for the weight (1-t^2)^a on [-1, 1], a >= -1/2.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix, whose
+    off-diagonal entries are sqrt(beta_k) with the monic recurrence
+    coefficients beta_k = k (k + 2a) / (4 (k + a)^2 - 1). One Newton step
+    on the orthonormal p_n polishes them. Each weight is the Christoffel
+    number 1 / sum_{j<n} p_j(t)^2 at the node, a sum of positive terms, so
+    tiny endpoint weights keep their relative precision (squared
+    eigenvector entries lose it once a is large).
+    """
+    a = float(exponent)
+    k = np.arange(1.0, n + 1)
+    den = 4.0 * (k + a) ** 2 - 1.0
+    # a = -1/2 (Chebyshev) makes beta_1 = 0/0; its limit is 1/2
+    beta = np.divide(k * (k + 2.0 * a), den, out=np.full(k.shape, 0.5),
+                     where=den != 0.0)
+    off = np.sqrt(beta)
+    mass = math.exp(0.5 * math.log(math.pi) + math.lgamma(a + 1.0)
+                    - math.lgamma(a + 1.5))  # int (1-t^2)^a dt
+
+    def recurrence(t):
+        """p_n(t), p_n'(t) and sum_{j<n} p_j(t)^2."""
+        p_prev, p = np.zeros(n), np.full(n, 1.0 / math.sqrt(mass))
+        dp_prev, dp = np.zeros(n), np.zeros(n)
+        total = np.zeros(n)
+        for j in range(n):
+            total += p * p
+            b = off[j - 1] if j else 0.0
+            p, p_prev, dp, dp_prev = ((t * p - b * p_prev) / off[j], p,
+                                      (p + t * dp - b * dp_prev) / off[j], dp)
+        return p, dp, total
+
+    x = np.linalg.eigvalsh(np.diag(off[:-1], -1))  # reads the lower triangle
+    p, dp, _ = recurrence(x)
+    x = x - p / dp
+    w = 1.0 / recurrence(x)[2]
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -95,13 +129,13 @@ def _jacobi_nodes(n: int, exponent: float):
 def _derivative_coeffs(g: CoeffSeries, k: int) -> np.ndarray:
     """Coefficients of g^{(k)}: b_{j+k} (j+k)!/j!, built through log-gamma so
     tiny coefficients against huge factorial ratios stay in range."""
-    from scipy.special import gammaln
     b = g.asarray()
     if k >= b.size:
         return np.zeros(1)
     bk = b[k:]
-    j = np.arange(bk.size, dtype=float)
-    return bk * np.exp(gammaln(j + k + 1.0) - gammaln(j + 1.0))
+    log_ratio = [math.lgamma(j + k + 1.0) - math.lgamma(j + 1.0)
+                 for j in range(bk.size)]
+    return bk * np.exp(log_ratio)
 
 
 def _smooth_funk_hecke_integral(gk: np.ndarray, k: int, d: int,

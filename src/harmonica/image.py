@@ -1,7 +1,8 @@
 """Image ingestion, patch extraction, and normalization onto (S^{d-1})^n.
 
 Patches are r x r windows flattened row-major and scaled to unit Euclidean
-norm; a patched image is the tuple of those unit vectors. Locations are
+norm; a patched image is the (n, d) array of those unit vectors, and a
+batch of them one (count, n, d) array. Locations are
 1-based (i, j) with 1 <= i <= h-r+1, 1 <= j <= w-r+1, window rows
 i..i+r-1. File formats: a plain-text matrix ("h w" header line, then h rows
 of w reals) and single-channel portable graymaps (P2/P5).
@@ -83,37 +84,28 @@ def grid_locations(h: int, w: int, r: int, stride: int | None = None) -> list:
             for j in range(1, w - r + 2, s)]
 
 
-@dataclass(frozen=True)
-class PatchedImage:
-    """An element of (S^{d-1})^n: n unit-norm patch vectors."""
+def unit_patches(a) -> np.ndarray:
+    """Read-only float copy of a (..., n, d) array of unit patch vectors.
 
-    patches: np.ndarray  # (n, d)
-
-    def __post_init__(self):
-        p = np.asarray(self.patches, dtype=float)
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
-            raise StructuralError("patches must form an (n, d>=2) matrix")
-        norms = np.linalg.norm(p, axis=1)
-        if np.any(np.abs(norms - 1.0) > NORM_TOL):
-            raise ValueError("patch norms deviate from 1 beyond tolerance")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "patches", p)
-
-    @property
-    def n(self) -> int:
-        return self.patches.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.patches.shape[1]
+    Each trailing row is one patch on S^{d-1}; a row whose norm deviates
+    from 1 by more than NORM_TOL is refused. A (count, n, d) batch is
+    checked in one pass.
+    """
+    p = np.array(a, dtype=float)
+    if p.ndim < 2 or p.shape[-2] < 1 or p.shape[-1] < 2:
+        raise StructuralError("patches must form (..., n, d>=2) arrays")
+    if np.any(np.abs(np.linalg.norm(p, axis=-1) - 1.0) > NORM_TOL):
+        raise ValueError("patch norms deviate from 1 beyond tolerance")
+    p.flags.writeable = False
+    return p
 
 
-def extract_patches(img: Image, cfg: PatchConfig) -> PatchedImage:
+def extract_patches(img: Image, cfg: PatchConfig) -> np.ndarray:
     """Flatten each configured r x r window row-major and normalize it.
 
-    A zero-norm window is a degenerate-patch error: such images fall outside
-    the normalized image space.
+    Returns the (n, d) unit patches of the image. A zero-norm window is a
+    degenerate-patch error: such images fall outside the normalized image
+    space.
     """
     cfg.validate_for(img)
     r = cfg.r
@@ -124,34 +116,25 @@ def extract_patches(img: Image, cfg: PatchConfig) -> PatchedImage:
         if nrm == 0.0:
             raise DegeneratePatchError(f"zero-norm window at ({i},{j})")
         rows.append(win / nrm)
-    return PatchedImage(np.asarray(rows))
+    return unit_patches(rows)
 
 
-def sample_uniform(n: int, d: int, seed) -> PatchedImage:
-    """n independent uniform points on S^{d-1}, deterministic per seed."""
+def sample_uniform(n: int, d: int, seed) -> np.ndarray:
+    """n independent uniform points on S^{d-1}, an (n, d) array,
+    deterministic per seed (row 0 of the batch of one)."""
+    return sample_uniform_batch(1, n, d, seed)[0]
+
+
+def sample_uniform_batch(count: int, n: int, d: int, seed) -> np.ndarray:
+    """A reproducible (count, n, d) batch of uniform product-sphere points."""
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     rng = np.random.default_rng(seed)
-    return PatchedImage(_normalize_rows(rng.standard_normal((n, d))))
-
-
-def sample_uniform_batch(count: int, n: int, d: int, seed) -> list:
-    """A reproducible batch of uniform product-sphere points."""
-    rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, n, d))
-    return [PatchedImage(_normalize_rows(g[i])) for i in range(count)]
-
-
-def _normalize_rows(a: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(a, axis=-1, keepdims=True)
-    # regenerating on an exact zero draw is astronomically unlikely; guard anyway
+    norms = np.linalg.norm(g, axis=-1, keepdims=True)
+    # an exact zero draw is astronomically unlikely; guard anyway
     norms[norms == 0.0] = 1.0
-    return a / norms
-
-
-def stack_patches(xs) -> np.ndarray:
-    """(count, n, d) array view of a list of PatchedImage."""
-    return np.stack([x.patches for x in xs])
+    return unit_patches(g / norms)
 
 
 def load_image_text(path) -> Image:

@@ -20,7 +20,6 @@ import numpy as np
 
 from .activations import ActivationSpec, majorant_series
 from .errors import StructuralError
-from .image import PatchedImage, stack_patches
 from .taylor import (CoeffSeries, DEFAULT_L_MAX, compose, eval_series,
                      identity_series, series_from)
 
@@ -146,31 +145,36 @@ def _kernel_values(spec: KernelSpec, products):
     return eval_series(spec.g, s)
 
 
-def eval_kernel(spec: KernelSpec, x: PatchedImage, y: PatchedImage) -> float:
+def eval_kernel(spec: KernelSpec, x, y) -> float:
+    """K(x, y) for two (n, d) patched images."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     for z in (x, y):
-        if z.n != spec.n or z.d != spec.d:
+        if z.shape != (spec.n, spec.d):
             raise StructuralError(
-                f"input ({z.n},{z.d}) does not match kernel ({spec.n},{spec.d})")
-    return float(_kernel_values(spec, np.einsum("nd,nd->n", x.patches, y.patches)))
+                f"input {z.shape} does not match kernel ({spec.n},{spec.d})")
+    return float(_kernel_values(spec, np.einsum("nd,nd->n", x, y)))
 
 
-def _stack(spec: KernelSpec, xs: list) -> np.ndarray:
-    a = stack_patches(xs)
-    if a.shape[1:] != (spec.n, spec.d):
-        raise StructuralError("inputs do not match kernel patch layout")
+def _batch(spec: KernelSpec, xs) -> np.ndarray:
+    a = np.asarray(xs, dtype=float)
+    if a.ndim != 3 or a.shape[1:] != (spec.n, spec.d):
+        raise StructuralError(
+            f"batch {a.shape} does not match kernel (count,{spec.n},{spec.d})")
     return a
 
 
-def gram(spec: KernelSpec, xs: list) -> np.ndarray:
-    """Symmetric Gram matrix G[i][j] = K(xs[i], xs[j])."""
-    a = _stack(spec, xs)
+def gram(spec: KernelSpec, xs) -> np.ndarray:
+    """Symmetric Gram matrix G[i][j] = K(xs[i], xs[j]) of a (count, n, d)
+    batch."""
+    a = _batch(spec, xs)
     G = _kernel_values(spec, (a[:, p] @ a[:, p].T for p in range(spec.n)))
     return 0.5 * (G + G.T)  # exact symmetry whatever order BLAS sums in
 
 
-def cross_gram(spec: KernelSpec, xs: list, ys: list) -> np.ndarray:
-    """K(xs[i], ys[j]) for all pairs, one matrix product per patch."""
-    a, b = _stack(spec, xs), _stack(spec, ys)
+def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
+    """K(xs[i], ys[j]) for all pairs of two batches, one matrix product per
+    patch."""
+    a, b = _batch(spec, xs), _batch(spec, ys)
     return _kernel_values(spec, (a[:, p] @ b[:, p].T for p in range(spec.n)))
 
 

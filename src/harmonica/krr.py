@@ -4,6 +4,19 @@ Dual solve of (G + lambda l I) c = y, the regularization schedules of the
 source-condition regimes, Nystrom eigenvalue estimates, and learning-curve
 experiments. Fits for different sizes/seeds are independent; RNG streams
 derive from (seed, size) pairs so runs reproduce regardless of scheduling.
+Sample batches are (count, n, d) arrays, and a target is a function from
+such a batch to its (count,) labels.
+
+The linear algebra is numpy alone. `cho_factor` is `np.linalg.cholesky`,
+which raises `np.linalg.LinAlgError` on a matrix that is not positive
+definite (the jitter retry in `rls_fit` catches it). numpy has no
+triangular solve, so `cho_solve` runs a blocked forward substitution
+L z = b and then a blocked back substitution L^T x = z: each diagonal block
+of at most BLOCK rows is solved by one `np.linalg.solve`, and each
+off-diagonal update is one matrix-vector product. On well-conditioned SPD
+systems it agrees with a dense `np.linalg.solve` to 1e-12 relative for
+ell up to 1600, including sizes that are not multiples of the block (a
+test holds it there). `eigvalsh` takes the top k of `np.linalg.eigvalsh`.
 """
 
 from __future__ import annotations
@@ -18,44 +31,56 @@ from .errors import SolverError
 # zonal_poly_table is unused here; perfbench/layers.py wraps the name on
 # this module
 from .harmonics import sphere_surface, zonal_features, zonal_poly_table
-from .image import PatchedImage, sample_uniform_batch, stack_patches
+from .image import sample_uniform_batch
 from .kernel import KernelSpec, cross_gram, gram
 from .spectrum import LambdaTable, canonical_profile, mu_eigenvalue
 
-
-# scipy.linalg costs ~0.3 s to import, so it loads at the first solve rather
-# than at start-up; callers (and tracers) use these module-level names
-def cho_factor(*args, **kwargs):
-    """scipy.linalg.cho_factor."""
-    from scipy.linalg import cho_factor as impl
-    return impl(*args, **kwargs)
+# rows per diagonal block of the triangular solves in cho_solve
+BLOCK = 128
 
 
-def cho_solve(*args, **kwargs):
-    """scipy.linalg.cho_solve."""
-    from scipy.linalg import cho_solve as impl
-    return impl(*args, **kwargs)
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of the SPD matrix a (a = L L^T)."""
+    return np.linalg.cholesky(a)
 
 
-def eigvalsh(*args, **kwargs):
-    """scipy.linalg.eigvalsh."""
-    from scipy.linalg import eigvalsh as impl
-    return impl(*args, **kwargs)
+def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = b by blocked forward and back substitution."""
+    x = np.array(b, dtype=float)
+    starts = range(0, L.shape[0], BLOCK)
+    for i in starts:  # L z = b, top block first
+        j = i + BLOCK
+        x[i:j] = np.linalg.solve(L[i:j, i:j], x[i:j] - L[i:j, :i] @ x[:i])
+    for i in reversed(starts):  # L^T x = z, bottom block first
+        j = i + BLOCK
+        x[i:j] = np.linalg.solve(L[i:j, i:j].T, x[i:j] - L[j:, i:j].T @ x[j:])
+    return x
+
+
+def eigvalsh(a: np.ndarray, k: int) -> np.ndarray:
+    """The k largest eigenvalues of the symmetric matrix a, largest first."""
+    return np.linalg.eigvalsh(a)[::-1][:k]
 
 
 @dataclass(frozen=True)
 class Dataset:
-    xs: tuple
+    """A (count, n, d) batch of inputs with its (count,) labels."""
+
+    xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
+        xs = np.array(self.xs, dtype=float)  # a private read-only copy
         ys = np.asarray(self.ys, dtype=float)
-        if len(self.xs) != ys.size or ys.size < 1:
+        if xs.ndim != 3:
+            raise ValueError("xs must be a (count, n, d) batch")
+        if len(xs) != ys.size or ys.size < 1:
             raise ValueError("need matching, nonempty xs and ys")
         if not np.all(np.isfinite(ys)):
             raise ValueError("labels must be finite")
+        xs.flags.writeable = False
         ys.flags.writeable = False
-        object.__setattr__(self, "xs", tuple(self.xs))
+        object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
     def __len__(self) -> int:
@@ -66,13 +91,14 @@ class Dataset:
 class FitResult:
     """Dual coefficients of one RLS solve plus the inputs they refer to.
 
-    ``fitted`` holds the fit's values at those inputs, G c, taken from the
-    Gram the solve already built.
+    ``xs`` is the (ell, n, d) training batch; ``fitted`` holds the fit's
+    values at those inputs, G c, taken from the Gram the solve already
+    built.
     """
 
     coeffs: np.ndarray
     lam: float
-    xs: tuple
+    xs: np.ndarray
     fitted: np.ndarray
 
     def __post_init__(self):
@@ -87,20 +113,32 @@ class FitResult:
         object.__setattr__(self, "fitted", f)
 
 
+def _bounded_gram(spec: KernelSpec, xs) -> np.ndarray:
+    """gram(spec, xs), refusing a kernel whose values leave double range.
+
+    The series are nonnegative, so |K(x, y)| <= K(x, x) = diag_value()
+    bounds every entry, and gram's symmetrization adds two of them.
+    """
+    diag = spec.diag_value()
+    if not math.isfinite(2.0 * diag):
+        raise OverflowError(f"kernel diagonal K(x, x) = {diag} leaves "
+                            "room for no Gram arithmetic")
+    return gram(spec, xs)
+
+
 def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
     """Solve (G + lambda l I) c = y by Cholesky, with one jitter retry."""
-    if lam <= 0.0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
     ell = len(data)
-    G = gram(spec, list(data.xs))
+    G = _bounded_gram(spec, data.xs)
     A = G + lam * ell * np.eye(ell)
     try:
-        c = cho_solve(cho_factor(A, lower=True), data.ys)
-    except np.linalg.LinAlgError:  # the class scipy.linalg raises
+        c = cho_solve(cho_factor(A), data.ys)
+    except np.linalg.LinAlgError:
         jitter = 1e-12 * np.trace(G) / ell
         try:
-            c = cho_solve(cho_factor(A + jitter * np.eye(ell), lower=True),
-                          data.ys)
+            c = cho_solve(cho_factor(A + jitter * np.eye(ell)), data.ys)
         except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(A))
             raise SolverError(
@@ -110,8 +148,8 @@ def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
 
 
 def predict(spec: KernelSpec, fit: FitResult, xs) -> np.ndarray:
-    """f(x) = sum_i c_i K(x, x_i) for each query point."""
-    return cross_gram(spec, list(xs), list(fit.xs)) @ fit.coeffs
+    """f(x) = sum_i c_i K(x, x_i) for each point of a (count, n, d) batch."""
+    return cross_gram(spec, xs, fit.xs) @ fit.coeffs
 
 
 def mse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -122,7 +160,7 @@ def mse(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def rls_objective(spec: KernelSpec, data: Dataset, fit: FitResult) -> float:
     """(1/l) sum residual^2 + lambda c^T G c at the fitted coefficients."""
-    G = gram(spec, list(data.xs))
+    G = gram(spec, data.xs)
     resid = data.ys - G @ fit.coeffs
     return float(np.mean(resid ** 2)
                  + fit.lam * fit.coeffs @ G @ fit.coeffs)
@@ -156,10 +194,14 @@ def schedule_lambda(s: Schedule, ell: int, d: int, d_star: int) -> float:
         raise ValueError("schedules need ell >= 3 (log powers degenerate)")
     s.check(d, d_star)
     if s.beta > 1.0:
-        return ell ** (-1.0 / s.beta)
-    if s.beta == 1.0:
-        return math.log(ell) ** s.mu_exp / ell
-    return math.log(ell) ** ((d - 1) * d_star / s.beta) / ell
+        lam = ell ** (-1.0 / s.beta)
+    elif s.beta == 1.0:
+        lam = math.log(ell) ** s.mu_exp / ell
+    else:
+        lam = math.log(ell) ** ((d - 1) * d_star / s.beta) / ell
+    if lam == math.inf:  # an infinite exponent (tiny beta) raises nothing
+        raise OverflowError(f"schedule lambda overflows at beta={s.beta!r}")
+    return lam
 
 
 def nystrom_eigs(spec: KernelSpec, ell: int, top_k: int, seed) -> np.ndarray:
@@ -172,9 +214,8 @@ def nystrom_eigs(spec: KernelSpec, ell: int, top_k: int, seed) -> np.ndarray:
     if not 0 < top_k <= ell:
         raise ValueError("need 0 < top_k <= ell")
     xs = sample_uniform_batch(ell, spec.n, spec.d, seed)
-    G = gram(spec, xs)
-    eigs = eigvalsh(G, subset_by_index=[ell - top_k, ell - 1])[::-1]
-    return eigs * sphere_surface(spec.d) ** spec.n / ell
+    scale = sphere_surface(spec.d) ** spec.n / ell
+    return eigvalsh(_bounded_gram(spec, xs), top_k) * scale
 
 
 def closed_form_top_eigs(spec: KernelSpec, table: LambdaTable, entries: list,
@@ -190,13 +231,14 @@ class SourceTarget:
     f(x) = sum over profiles of coeff * (kappa^n mu)^{beta/2}
            * prod_i zonal_sum(k_i; x_i, z_i); lives at source smoothness beta
     by construction, inside the RKHS whenever every used mu is positive.
+    The anchor z is one (n, d) patched image.
     """
 
-    def __init__(self, spec: KernelSpec, table: LambdaTable, anchor: PatchedImage,
+    def __init__(self, spec: KernelSpec, table: LambdaTable, anchor,
                  profiles, beta: float = 1.0):
         self.spec = spec
         self.table = table
-        self.anchor = anchor
+        self.anchor = np.asarray(anchor, dtype=float)
         self.beta = beta
         self.parts = []
         k_hi = 0
@@ -210,60 +252,47 @@ class SourceTarget:
             k_hi = max(k_hi, prof[0])
         self.k_hi = k_hi
 
-    def __call__(self, x: PatchedImage) -> float:
-        return float(self.batch([x])[0])
-
-    def batch(self, xs) -> np.ndarray:
-        pts = stack_patches(xs)  # (m, n, d)
+    def __call__(self, xs) -> np.ndarray:
+        """Target values on a (count, n, d) batch; shape (count,)."""
+        pts = np.asarray(xs, dtype=float)
         Z = zonal_features(self.k_hi, self.spec.d,
-                           np.einsum("mnd,nd->mn", pts, self.anchor.patches))
-        out = np.zeros(len(xs))
+                           np.einsum("mnd,nd->mn", pts, self.anchor))
+        out = np.zeros(len(pts))
         for prof, weight in self.parts:
-            term = np.ones(len(xs))
+            term = np.ones(len(pts))
             for i, k in enumerate(prof):
                 term = term * Z[k, :, i]
             out += weight * term
         return out
 
 
-def cnn_target(params, activations):
-    """Label function x -> forward(params, activations, x)."""
-    from .cnn import forward
-
-    def target(x: PatchedImage) -> float:
-        return forward(params, activations, x)
-
-    return target
-
-
-def apply_target(target, xs) -> np.ndarray:
-    batch = getattr(target, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(xs), dtype=float)
-    return np.asarray([target(x) for x in xs], dtype=float)
-
-
 def learning_curve(spec: KernelSpec, target, s: Schedule, sizes, test_size,
                    seed, threads: int = 1) -> list:
     """Fit at each size with the scheduled lambda; report train/test MSE.
 
+    ``target`` maps a (count, n, d) batch to its (count,) labels.
     Train and test samples are drawn uniformly with streams keyed on
     (seed, size), so each row is reproducible in isolation.
     """
     sizes = [int(v) for v in sizes]
 
+    def labels(xs) -> np.ndarray:
+        ys = np.asarray(target(xs), dtype=float)
+        if not np.all(np.isfinite(ys)):
+            raise OverflowError("target labels leave double range")
+        return ys
+
     def run_one(ell: int) -> dict:
         train = sample_uniform_batch(ell, spec.n, spec.d, (seed, ell, 0))
         test = sample_uniform_batch(test_size, spec.n, spec.d, (seed, ell, 1))
-        data = Dataset(xs=tuple(train), ys=apply_target(target, train))
+        data = Dataset(xs=train, ys=labels(train))
         lam = schedule_lambda(s, ell, spec.d, spec.d_star)
         fit = rls_fit(spec, data, lam)
         return {
             "ell": ell,
             "lambda": lam,
             "train_mse": mse(fit.fitted, data.ys),
-            "test_mse": mse(predict(spec, fit, test),
-                            apply_target(target, test)),
+            "test_mse": mse(predict(spec, fit, test), labels(test)),
         }
 
     if threads > 1:

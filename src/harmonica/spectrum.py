@@ -63,7 +63,6 @@ from .errors import ConvergenceError, FitError, TruncationError
 # perfbench/layers.py wraps these names on this module
 from .harmonics import (funk_hecke_eigenvalue, harmonic_dim, sphere_surface,
                         zonal_features, zonal_poly_table)
-from .image import stack_patches
 from .kernel import KernelSpec
 from .taylor import CoeffSeries, power, power_table
 
@@ -367,8 +366,9 @@ class SpectralExpansion:
         self._phi = table.lam[: self.k_max + 1, :q] / _factorials(q)
 
     def reconstruct(self, xs, ys) -> np.ndarray:
-        """Spectral kernel values K(xs[i], ys[i]); shape (count,)."""
-        a, b = stack_patches(xs), stack_patches(ys)
+        """Spectral kernel values K(xs[i], ys[i]) for two (count, n, d)
+        batches; shape (count,)."""
+        a, b = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         if a.shape != b.shape or a.shape[1:] != (self.spec.n, self.spec.d):
             raise ValueError("inputs do not match the kernel layout")
         Z = zonal_features(self.k_max, self.spec.d,

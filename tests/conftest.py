@@ -53,7 +53,7 @@ def brute_force_mercer(spec, table, k_max, x, y):
     mu_eigenvalue call. The other patches sit at degree 0.
     """
     n = spec.n
-    z = [[scalar_zonal_feature(k, spec.d, x.patches[i], y.patches[i])
+    z = [[scalar_zonal_feature(k, spec.d, x[i], y[i])
           for i in range(n)] for k in range(k_max + 1)]
     total = 0.0
     for w in range(min(spec.d_star, n) + 1):

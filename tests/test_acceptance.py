@@ -16,13 +16,13 @@ from scipy.special import erfi
 
 from harmonica.activations import activation, majorant_series
 from harmonica.cli import main as cli_main
-from harmonica.cnn import random_params
+from harmonica.cnn import forward, random_params
 from harmonica.harmonics import funk_hecke_eigenvalue
 from harmonica.image import sample_uniform_batch
 from harmonica.kernel import TruncationConfig, build_kernel, eval_kernel
-from harmonica.krr import (Dataset, Schedule, SourceTarget, apply_target,
-                           closed_form_top_eigs, cnn_target, learning_curve,
-                           nystrom_eigs, predict, rls_fit, schedule_lambda)
+from harmonica.krr import (Dataset, Schedule, SourceTarget,
+                           closed_form_top_eigs, learning_curve, nystrom_eigs,
+                           predict, rls_fit, schedule_lambda)
 from harmonica.spectrum import (SpectralExpansion, enumerate_spectrum,
                                 expand_spectrum, fit_decay, lambda_table,
                                 mu_eigenvalue, eigenvalue_windows)
@@ -280,8 +280,8 @@ def test_criterion_8_rls_behavior():
         params = random_params(2, 4, filters=[1, 1], patch_sizes=[2],
                                seed=42, boundary="valid")
         xs = sample_uniform_batch(64, 2, 4, 777)
-        ys = apply_target(cnn_target(params, acts), xs)
-        fit = rls_fit(spec2, Dataset(xs=tuple(xs), ys=ys), 1e-10)
+        ys = forward(params, acts, xs)
+        fit = rls_fit(spec2, Dataset(xs=xs, ys=ys), 1e-10)
         resid = float(np.abs(predict(spec2, fit, xs) - ys).max())
         assert resid <= 1e-6, f"training residual {resid:.3e}"
         print(f"  CNN interpolation residual {resid:.2e}")

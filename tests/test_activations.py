@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from harmonica.activations import (KINDS, ActivationSpec, activation,
+from harmonica.activations import (KINDS, ActivationSpec, _erf, activation,
                                    evaluate, majorant_series, taylor_coeffs)
 from harmonica.errors import UnsupportedActivationError
 from harmonica.taylor import MAX_ORDER, eval_series, exp_series
@@ -127,6 +127,22 @@ def test_evaluate_scalar_functions():
                                x * erf(x) + np.exp(-math.pi * x * x) / (2 * math.pi))
     # large-argument shape: x erf(x) approaches |x|
     assert evaluate(sh, 50.0) == pytest.approx(50.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind,formula", [
+    ("erf_sigmoid", lambda x: 0.5 * (1.0 + erf(math.sqrt(math.pi) * x))),
+    ("smooth_hinge",
+     lambda x: x * erf(x) + np.exp(-math.pi * x * x) / (2 * math.pi)),
+])
+def test_erf_activations_match_scipy_erf(kind, formula):
+    x = np.linspace(-6.0, 6.0, 2400)
+    # the math.erf kernel itself, elementwise
+    np.testing.assert_allclose(_erf(x), erf(x), rtol=1e-14, atol=0.0)
+    # 1 + erf cancels for negative arguments: hold the activation to 1e-14
+    # of its own scale there
+    want = formula(x.reshape(3, -1))
+    np.testing.assert_allclose(evaluate(activation(kind), x.reshape(3, -1)),
+                               want, rtol=1e-14, atol=1e-14)
 
 
 def test_geometric_activation():

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import harmonica
+from harmonica import cli
 from harmonica.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
 
 KERNEL_EI = {"layers": [{"activation": "exp"}, {"activation": "identity"}],
@@ -134,6 +135,77 @@ def test_reconstruct_exit_codes_fuzz(layers, n, d, truncation, k_max, pairs):
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
 
 
+_KERNEL = st.fixed_dictionaries(
+    {"layers": st.lists(_LAYER, min_size=1, max_size=3),
+     "n": st.integers(1, 3), "d": st.integers(2, 4)},
+    optional={"truncation": _TRUNCATION})
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# one activation and filter count per layer, one patch size per hidden layer
+_NETWORK = st.integers(1, 3).flatmap(lambda layers: st.fixed_dictionaries(
+    {"filters": st.lists(st.integers(1, 3), min_size=layers,
+                         max_size=layers),
+     "activations": st.lists(_LAYER, min_size=layers, max_size=layers),
+     "patch_sizes": st.lists(st.integers(1, 4), min_size=layers - 1,
+                             max_size=layers - 1)},
+    optional={"boundary": st.sampled_from(["circular", "valid"]),
+              "pooling": st.sampled_from(["identity", "gaussian"]),
+              "weight_scale": _FINITE}))
+_TARGET = st.one_of(
+    st.fixed_dictionaries({"type": st.just("zero")}),
+    st.fixed_dictionaries({"type": st.just("network")},
+                          optional={"network": _NETWORK}),
+    st.fixed_dictionaries(
+        {"type": st.just("source")},
+        optional={"beta": st.floats(min_value=0.0, max_value=4.0,
+                                    exclude_min=True),
+                  "profiles": st.lists(st.fixed_dictionaries(
+                      {"degrees": st.lists(st.integers(0, 4), max_size=3)},
+                      optional={"coeff": _FINITE}), max_size=3)}))
+
+
+def _exit_code(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, _ = run(Path(tmp), command, cfg)
+    return rc
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel=_KERNEL,
+       schedule=st.fixed_dictionaries(
+           {"beta": st.floats(min_value=0.0, max_value=2.0, exclude_min=True)},
+           optional={"mu_exp": _FINITE}),
+       sizes=st.lists(st.integers(3, 40), min_size=1, max_size=3),
+       test_size=st.integers(1, 40), target=_TARGET)
+# a subnormal beta makes the beta < 1 schedule power inf, not an exception
+@example(kernel={"layers": [{"activation": "exp"}], "n": 1, "d": 2},
+         schedule={"beta": 5e-324}, sizes=[3], test_size=2,
+         target={"type": "source"})
+def test_learning_curve_exit_codes_fuzz(kernel, schedule, sizes, test_size,
+                                        target):
+    cfg = {"kernel": kernel, "schedule": schedule, "sizes": sizes,
+           "test_size": test_size, "target": target}
+    assert _exit_code("learning-curve", cfg) in (EXIT_OK, EXIT_CONFIG,
+                                                 EXIT_TOLERANCE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel=_KERNEL, ell=st.integers(1, 40), top_k=st.integers(1, 10),
+       k_max=st.integers(1, 6))
+def test_gram_eig_exit_codes_fuzz(kernel, ell, top_k, k_max):
+    cfg = {"kernel": kernel, "ell": ell, "top_k": top_k, "k_max": k_max}
+    assert _exit_code("gram-eig", cfg) in (EXIT_OK, EXIT_CONFIG,
+                                           EXIT_TOLERANCE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(network=_NETWORK, n=st.integers(1, 3), d=st.integers(2, 4),
+       count=st.integers(1, 5))
+def test_cnn_label_exit_codes_fuzz(network, n, d, count):
+    cfg = {"network": network, "n": n, "d": d, "count": count}
+    assert _exit_code("cnn-label", cfg) in (EXIT_OK, EXIT_CONFIG,
+                                            EXIT_TOLERANCE)
+
+
 def test_learning_curve_command(tmp_path):
     cfg = {
         "kernel": KERNEL_EI,
@@ -239,6 +311,30 @@ def test_cnn_label_from_images(tmp_path, rng):
     assert len(recs) == 1 and len(recs[0]["patches"]) == 4
 
 
+def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch):
+    out = tmp_path / "out.csv"
+    out.write_text("previous\n")
+    # json.dump fails partway through the new file
+    with pytest.raises(TypeError):
+        cli.write_json(str(out), "spectrum", {}, 0, {"bad": object()})
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    # the new file is complete but cannot be moved into place
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError):
+        cli.write_csv(str(out), "spectrum", {}, 0, ["a"], [(1,)])
+    cfg = {"n": 2, "d": 4, "count": 3,
+           "network": {"filters": [1], "activations": [{"activation": "exp"}]}}
+    with pytest.raises(OSError):
+        run(tmp_path, "cnn-label", cfg, name="out.csv")
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cnn-label.json",
+                                                          "out.csv"]
+
+
 def test_validation_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kernel": {"layers": [], "n": 1, "d": 3}}')
@@ -252,6 +348,20 @@ def test_validation_errors(tmp_path):
     rc = main(["spectrum", "--config", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literal_is_config_error(tmp_path, literal):
+    # Python's json parses these; as mu_exp they made lambda inf or nan
+    cfg_path = tmp_path / "lc.json"
+    cfg_path.write_text(
+        '{"kernel": {"layers": [{"activation": "exp"}], "n": 1, "d": 2}, '
+        f'"schedule": {{"beta": 1.0, "mu_exp": {literal}}}, "sizes": [3], '
+        '"target": {"type": "zero"}}')
+    out = tmp_path / "lc.csv"
+    rc = main(["learning-curve", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_config_a_max_guard(tmp_path):
@@ -337,25 +447,41 @@ def test_learning_curve_bad_source_profile_is_config_error(tmp_path, kernel,
     assert not out.exists()
 
 
-def test_spectrum_and_reconstruct_never_load_scipy(tmp_path):
-    # scipy is loaded only by gram-eig, learning-curve and erf activations;
-    # importing the CLI and running spectrum and reconstruct load none of it
-    spectrum_cfg = tmp_path / "spectrum.json"
-    spectrum_cfg.write_text(json.dumps({"kernel": KERNEL_EI, "k_max": 6}))
-    reconstruct_cfg = tmp_path / "reconstruct.json"
-    reconstruct_cfg.write_text(json.dumps(
-        {"kernel": {**KERNEL_EI, "n": 2}, "k_max": 6, "pairs": 3}))
-    script = "\n".join([
-        "import sys",
-        "import harmonica.cli as cli",
-        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))",
-        "assert not loaded(), loaded()",
-        f"assert cli.main(['spectrum', '--config', {str(spectrum_cfg)!r}, "
-        f"'--out', {str(tmp_path / 's.csv')!r}]) == 0",
-        f"assert cli.main(['reconstruct', '--config', {str(reconstruct_cfg)!r}, "
-        f"'--out', {str(tmp_path / 'r.csv')!r}]) == 0",
-        "assert not loaded(), loaded()",
-    ])
+ERF_NETWORK = {"filters": [2, 1], "patch_sizes": [2], "boundary": "valid",
+               "activations": [{"activation": "erf_sigmoid"},
+                               {"activation": "smooth_hinge"}]}
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # the runtime is numpy and jsonschema: no command, including the
+    # Cholesky, eigvalsh and erf activation paths, loads any scipy module
+    configs = {
+        "spectrum": {"kernel": KERNEL_EI, "k_max": 6},
+        "reconstruct": {"kernel": {**KERNEL_EI, "n": 2}, "k_max": 6,
+                        "pairs": 3},
+        "learning-curve": {
+            "kernel": {"layers": [{"activation": "erf_sigmoid"},
+                                  {"activation": "square"}], "n": 2, "d": 4},
+            "schedule": {"beta": 2.0}, "sizes": [300], "test_size": 20,
+            "target": {"type": "network", "network": ERF_NETWORK}},
+        "gram-eig": {"kernel": {"layers": [{"activation": "identity"},
+                                           {"activation": "square"}],
+                                "n": 2, "d": 3},
+                     "ell": 60, "top_k": 3, "k_max": 6},
+        "cnn-label": {"n": 2, "d": 4, "count": 4, "network": ERF_NETWORK},
+    }
+    lines = ["import sys",
+             "import harmonica.cli as cli",
+             "loaded = lambda: sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy')"]
+    for command, cfg in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        lines.append(f"assert cli.main([{command!r}, '--config', "
+                     f"{str(path)!r}, '--out', "
+                     f"{str(tmp_path / (command + '.out'))!r}]) == 0")
+    lines.append("assert not loaded(), loaded()")
+    script = "\n".join(lines)
     src = str(Path(harmonica.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from harmonica.activations import activation
+from harmonica.activations import KINDS, activation, evaluate
 from harmonica.cnn import (NetworkParams, forward, gaussian_pooling,
                            identity_pooling, params_from_json, params_to_json,
                            random_params)
 from harmonica.errors import StructuralError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import build_kernel
-from harmonica.krr import Dataset, apply_target, cnn_target, predict, rls_fit
+from harmonica.krr import Dataset, predict, rls_fit
 
 SQ2 = [activation("square"), activation("square")]
 
@@ -27,8 +27,8 @@ def two_layer_params(w1, w2, w_out):
 
 def test_zero_weights_give_zero():
     params = two_layer_params([0.0, 0.0], [0.0, 0.0], [0.0])
-    x = sample_uniform(2, 2, 1)
-    assert forward(params, SQ2, x) == 0.0
+    xs = sample_uniform_batch(3, 2, 2, 1)
+    assert np.array_equal(forward(params, SQ2, xs), np.zeros(3))
 
 
 def test_hand_expanded_two_layer_polynomial(rng):
@@ -36,18 +36,62 @@ def test_hand_expanded_two_layer_polynomial(rng):
     # e * (c1 <x1,w>^2 + c2 <x2,w>^2)^2, expanded against the direct formula
     a, b, c1, c2, e = 0.3, -0.7, 1.1, 0.4, 2.0
     params = two_layer_params([a, b], [c1, c2], [e])
-    for i in range(5):
-        x = sample_uniform(2, 2, (3, i))
-        u = x.patches @ np.array([a, b])
-        want = e * (c1 * u[0] ** 2 + c2 * u[1] ** 2) ** 2
-        assert forward(params, SQ2, x) == pytest.approx(want, rel=1e-13)
+    xs = sample_uniform_batch(5, 2, 2, 3)
+    u = xs @ np.array([a, b])  # (5, 2)
+    want = e * (c1 * u[:, 0] ** 2 + c2 * u[:, 1] ** 2) ** 2
+    np.testing.assert_allclose(forward(params, SQ2, xs), want, rtol=1e-13)
 
 
 def test_output_linear_in_prediction_weights():
     params = two_layer_params([0.5, 1.0], [1.0, -2.0], [1.5])
     scaled = two_layer_params([0.5, 1.0], [1.0, -2.0], [4.5])
-    x = sample_uniform(2, 2, 4)
-    assert forward(scaled, SQ2, x) == pytest.approx(3.0 * forward(params, SQ2, x))
+    xs = sample_uniform_batch(4, 2, 2, 4)
+    np.testing.assert_allclose(forward(scaled, SQ2, xs),
+                               3.0 * forward(params, SQ2, xs))
+
+
+def _forward_one(params, activations, x):
+    """Reference forward pass of one (n, d) patched image: the per-sample
+    loop the batched forward replaced, windows extracted row by row."""
+    state = x
+    for k in range(params.num_layers):
+        post = evaluate(activations[k], state @ params.weights[k].T)
+        pooled = params.poolings[k] @ post
+        if k == params.num_layers - 1:
+            return float(np.dot(pooled.reshape(-1), params.w_out))
+        n_k, width = pooled.shape[0], params.d_sizes[k + 1]
+        count = n_k if params.boundary == "circular" else n_k - width + 1
+        state = np.asarray([
+            pooled[[(q + l) % n_k for l in range(width)]].reshape(-1)
+            for q in range(count)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("boundary,pooling", [
+    ("circular", "identity"), ("valid", "identity"),
+    ("circular", "gaussian"), ("valid", "gaussian")])
+def test_batched_forward_matches_per_sample(kind, boundary, pooling):
+    act = activation(kind, coeffs=[0.5, -1.0, 0.25], ratio=0.3)
+    xs = sample_uniform_batch(30, 5, 4, 9)
+    for filters, patch_sizes in (([3, 2], [2]), ([2, 3, 1], [3, 2])):
+        params = random_params(5, 4, filters, patch_sizes, seed=5,
+                               boundary=boundary, pooling=pooling)
+        acts = [act] * len(filters)
+        want = [_forward_one(params, acts, x) for x in xs]
+        got = forward(params, acts, xs)
+        assert got.shape == (30,)
+        # the readout is a cancelling sum, so a label near zero is held to
+        # 1e-13 of the largest label rather than of itself
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+def test_forward_refuses_mismatched_batch():
+    params = random_params(2, 4, filters=[1, 1], patch_sizes=[2], seed=0)
+    with pytest.raises(StructuralError):
+        forward(params, SQ2, sample_uniform(2, 4, 0))  # one image, no batch
+    with pytest.raises(StructuralError):
+        forward(params, SQ2, sample_uniform_batch(3, 2, 3, 0))
 
 
 def test_random_params_reproducible_and_shaped():
@@ -91,9 +135,9 @@ def test_json_roundtrip():
     params = random_params(3, 4, filters=[2, 1], patch_sizes=[2], seed=3,
                            pooling="gaussian")
     back = params_from_json(params_to_json(params))
-    x = sample_uniform(3, 4, 0)
+    xs = sample_uniform_batch(3, 3, 4, 0)
     acts = [activation("exp"), activation("square")]
-    assert forward(back, acts, x) == forward(params, acts, x)
+    assert np.array_equal(forward(back, acts, xs), forward(params, acts, xs))
 
 
 def test_labels_bounded_by_weight_norms():
@@ -109,8 +153,7 @@ def test_labels_bounded_by_weight_norms():
         entry_bound = (vec_bound * row_norms.max()) ** 2
     final_dim = params.n_sizes[-1] * params.p_sizes[-1]
     bound = np.linalg.norm(params.w_out) * entry_bound * math.sqrt(final_dim)
-    tgt = cnn_target(params, SQ2)
-    labels = apply_target(tgt, sample_uniform_batch(50, 2, 4, 8))
+    labels = forward(params, SQ2, sample_uniform_batch(50, 2, 4, 8))
     assert np.all(np.isfinite(labels))
     assert np.abs(labels).max() <= bound
 
@@ -121,9 +164,8 @@ def test_polynomial_network_contained_in_matching_kernel():
     spec = build_kernel(SQ2, 2, 2)
     params = random_params(2, 2, filters=[1, 1], patch_sizes=[2], seed=1,
                            boundary="valid")
-    target = cnn_target(params, SQ2)
     xs = sample_uniform_batch(40, 2, 2, 11)
-    ys = apply_target(target, xs)
-    fit = rls_fit(spec, Dataset(xs=tuple(xs), ys=ys), 1e-10)
+    ys = forward(params, SQ2, xs)
+    fit = rls_fit(spec, Dataset(xs=xs, ys=ys), 1e-10)
     resid = np.abs(predict(spec, fit, xs) - ys).max()
     assert resid <= 1e-6

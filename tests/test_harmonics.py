@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from harmonica.harmonics import (funk_hecke_eigenvalue, harmonic_dim,
+from scipy.special import gammaln, roots_jacobi
+
+from harmonica.activations import activation, majorant_series
+from harmonica.harmonics import (_derivative_coeffs, _jacobi_nodes,
+                                 funk_hecke_eigenvalue, harmonic_dim,
                                  sphere_surface, zonal_orthogonality_error,
                                  zonal_pair_sum, zonal_poly, zonal_poly_table)
 from harmonica.image import sample_uniform
@@ -64,8 +68,8 @@ def test_zonal_orthogonality():
 
 
 def test_zonal_pair_sum_values():
-    x = sample_uniform(1, 3, 0).patches[0]
-    y = sample_uniform(1, 3, 1).patches[0]
+    x = sample_uniform(1, 3, 0)[0]
+    y = sample_uniform(1, 3, 1)[0]
     assert zonal_pair_sum(0, 3, x, y) == pytest.approx(1.0 / (4 * math.pi))
     assert zonal_pair_sum(1, 3, x, x) == pytest.approx(3.0 / (4 * math.pi))
 
@@ -76,7 +80,7 @@ def test_zonal_pair_sum_reproducing_monte_carlo():
     rng = np.random.default_rng(321)
     ys = rng.standard_normal((100_000, d))
     ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-    x = sample_uniform(1, d, 5).patches[0]
+    x = sample_uniform(1, d, 5)[0]
     z = x  # evaluate at the maximum of the reproducing identity
     surf = sphere_surface(d)
     tab_x = zonal_poly_table(3, d, ys @ x)
@@ -139,3 +143,24 @@ def test_funk_hecke_geometric_series():
     for k in (0, 1, 3, 6):
         want = 2 * math.pi * rho ** k / math.sqrt(1 - r * r)
         assert funk_hecke_eigenvalue(g, k, 2) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.5, 1.5, 3.0, 10.5, 30.0, 60.5])
+def test_golub_welsch_nodes_match_scipy(a):
+    for n in (1, 2, 3, 5, 8, 20, 40):
+        x, w = _jacobi_nodes(n, a)
+        x_ref, w_ref = roots_jacobi(n, a, a)
+        np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["exp", "erf_sigmoid", "geometric"])
+def test_derivative_coeffs_match_scipy_gammaln(kind):
+    g = majorant_series(activation(kind, ratio=0.9), 128)
+    b = g.asarray()
+    for k in (0, 1, 5, 40, 100):
+        j = np.arange(b.size - k, dtype=float)
+        want = b[k:] * np.exp(gammaln(j + k + 1.0) - gammaln(j + 1.0))
+        np.testing.assert_allclose(_derivative_coeffs(g, k), want,
+                                   rtol=1e-12, atol=0.0)
+    assert np.array_equal(_derivative_coeffs(g, b.size), np.zeros(1))

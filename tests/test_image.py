@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from harmonica.errors import DegeneratePatchError, StructuralError
-from harmonica.image import (Image, PatchConfig, PatchedImage, extract_patches,
+from harmonica.image import (NORM_TOL, Image, PatchConfig, extract_patches,
                              grid_locations, load_image, load_image_pgm,
                              load_image_text, sample_uniform,
-                             sample_uniform_batch, save_image_text)
+                             sample_uniform_batch, save_image_text,
+                             unit_patches)
 
 
 def test_extract_all_ones():
     img = Image(np.ones((3, 3)))
     cfg = PatchConfig(r=2, locations=((1, 1),))
     got = extract_patches(img, cfg)
-    np.testing.assert_allclose(got.patches, [[0.5, 0.5, 0.5, 0.5]])
+    np.testing.assert_allclose(got, [[0.5, 0.5, 0.5, 0.5]])
 
 
 def test_extract_disjoint_grid(rng):
@@ -20,12 +21,12 @@ def test_extract_disjoint_grid(rng):
     cfg = PatchConfig(r=2, locations=tuple(grid_locations(4, 4, 2)))
     assert cfg.locations == ((1, 1), (1, 3), (3, 1), (3, 3))
     got = extract_patches(img, cfg)
-    assert got.n == 4 and got.d == 4
-    np.testing.assert_allclose(np.linalg.norm(got.patches, axis=1), 1.0,
+    assert got.shape == (4, 4)
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0,
                                atol=1e-12)
     # row-major flattening of the (1,1) window
     win = img.pixels[:2, :2].reshape(-1)
-    np.testing.assert_allclose(got.patches[0], win / np.linalg.norm(win))
+    np.testing.assert_allclose(got[0], win / np.linalg.norm(win))
 
 
 def test_extract_zero_window_rejected():
@@ -45,7 +46,7 @@ def test_extract_out_of_range_location():
 def test_overlapping_locations_allowed(rng):
     img = Image(rng.standard_normal((4, 4)))
     cfg = PatchConfig(r=2, locations=((1, 1), (1, 2), (2, 1)))
-    assert extract_patches(img, cfg).n == 3
+    assert extract_patches(img, cfg).shape == (3, 4)
 
 
 def test_injectivity_on_unit_patch_images(rng):
@@ -60,29 +61,51 @@ def test_injectivity_on_unit_patch_images(rng):
             px[i - 1:i + 1, j - 1:j + 1] = (w / np.linalg.norm(w)).reshape(2, 2)
         got = extract_patches(Image(px), cfg)
         for prev in seen:
-            assert not np.allclose(prev.patches, got.patches)
+            assert not np.allclose(prev, got)
         seen.append(got)
         back = np.zeros((4, 4))
         for idx, (i, j) in enumerate(cfg.locations):
-            back[i - 1:i + 1, j - 1:j + 1] = got.patches[idx].reshape(2, 2)
+            back[i - 1:i + 1, j - 1:j + 1] = got[idx].reshape(2, 2)
         np.testing.assert_allclose(back, px, atol=1e-12)
 
 
 def test_sample_uniform_basics():
     x = sample_uniform(1, 2, seed=5)
-    assert abs(np.linalg.norm(x.patches[0]) - 1.0) < 1e-12
-    assert np.array_equal(sample_uniform(3, 4, 9).patches,
-                          sample_uniform(3, 4, 9).patches)
+    assert abs(np.linalg.norm(x[0]) - 1.0) < 1e-12
+    assert np.array_equal(sample_uniform(3, 4, 9), sample_uniform(3, 4, 9))
 
 
 def test_sample_uniform_mean_symmetry():
-    pts = np.concatenate([x.patches for x in sample_uniform_batch(10_000, 1, 3, 7)])
+    pts = sample_uniform_batch(10_000, 1, 3, 7).reshape(-1, 3)
     assert np.all(np.abs(pts.mean(axis=0)) <= 0.05)
 
 
-def test_patched_image_norm_invariant():
+def test_unit_patches_norm_invariant():
     with pytest.raises(ValueError):
-        PatchedImage(np.array([[0.5, 0.5]]))
+        unit_patches(np.array([[0.5, 0.5]]))
+    # one off-sphere patch anywhere in a batch refuses the batch
+    batch = np.array(sample_uniform_batch(4, 2, 3, 1))
+    batch[2, 1] *= 1.0 + 10 * NORM_TOL
+    with pytest.raises(ValueError):
+        unit_patches(batch)
+    with pytest.raises(StructuralError):
+        unit_patches(np.array([[1.0]]))
+    got = unit_patches(sample_uniform_batch(4, 2, 3, 1))
+    assert not got.flags.writeable
+
+
+def test_sample_uniform_batch_matches_per_image_rows():
+    # the batch is the per-image construction it replaced, bit for bit:
+    # one (count, n, d) normal draw, each (n, d) slice row-normalized
+    count, n, d, seed = 50, 3, 4, (7, 2)
+    batch = sample_uniform_batch(count, n, d, seed)
+    g = np.random.default_rng(seed).standard_normal((count, n, d))
+    for i in range(count):
+        rows = g[i] / np.linalg.norm(g[i], axis=-1, keepdims=True)
+        assert np.array_equal(batch[i], rows)
+    assert batch.shape == (count, n, d) and not batch.flags.writeable
+    assert np.array_equal(sample_uniform(n, d, seed),
+                          sample_uniform_batch(1, n, d, seed)[0])
 
 
 def test_text_image_roundtrip(tmp_path, rng):

@@ -35,7 +35,7 @@ def test_eval_square_square():
     spec = build_kernel([activation("square"), activation("square")], 2, 4)
     x = sample_uniform(2, 4, 0)
     y = sample_uniform(2, 4, 1)
-    t = np.einsum("nd,nd->n", x.patches, y.patches)
+    t = np.einsum("nd,nd->n", x, y)
     assert eval_kernel(spec, x, y) == pytest.approx((t @ t) ** 2, rel=1e-13)
     assert eval_kernel(spec, x, x) == pytest.approx(4.0)
 
@@ -127,7 +127,7 @@ def test_gram_psd_across_configs(rng):
 def test_gram_duplicate_point_singular():
     spec = build_kernel([activation("exp"), activation("identity")], 1, 3)
     x = sample_uniform(1, 3, 5)
-    xs = [x, x] + sample_uniform_batch(3, 1, 3, 6)
+    xs = np.concatenate([[x, x], sample_uniform_batch(3, 1, 3, 6)])
     eigs = np.linalg.eigvalsh(gram(spec, xs))
     assert eigs.min() <= 1e-10 * np.trace(gram(spec, xs))
 

@@ -8,7 +8,7 @@ from harmonica.activations import activation
 from harmonica.errors import SolverError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import build_kernel, constant_kernel, eval_kernel, gram
-from harmonica.krr import (Dataset, Schedule, SourceTarget, apply_target,
+from harmonica.krr import (Dataset, Schedule, SourceTarget,
                            closed_form_top_eigs, learning_curve, mse,
                            nystrom_eigs, predict, rls_fit, rls_objective,
                            schedule_lambda)
@@ -23,17 +23,17 @@ EI = [activation("exp"), activation("identity")]
 def test_rls_single_point_closed_form():
     spec = build_kernel(EI, 1, 3)
     x1 = sample_uniform(1, 3, 1)
-    fit = rls_fit(spec, Dataset(xs=(x1,), ys=[2.0]), 0.5)
+    fit = rls_fit(spec, Dataset(xs=x1[None], ys=[2.0]), 0.5)
     xq = sample_uniform(1, 3, 2)
     want = 2.0 * eval_kernel(spec, xq, x1) / (eval_kernel(spec, x1, x1) + 0.5)
-    assert predict(spec, fit, [xq])[0] == pytest.approx(want, rel=1e-12)
+    assert predict(spec, fit, xq[None])[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_rls_huge_lambda_shrinks_to_zero():
     spec = build_kernel(EI, 1, 3)
     xs = sample_uniform_batch(12, 1, 3, 3)
     ys = np.linspace(-1.0, 1.0, 12)
-    fit = rls_fit(spec, Dataset(xs=tuple(xs), ys=ys),
+    fit = rls_fit(spec, Dataset(xs=xs, ys=ys),
                   1e6 * spec.diag_value())
     assert np.abs(predict(spec, fit, xs)).max() <= 1e-3 * np.abs(ys).max()
 
@@ -43,7 +43,7 @@ def test_rls_interpolates_at_tiny_lambda():
     xs = sample_uniform_batch(20, 2, 3, 5)
     rng = np.random.default_rng(0)
     ys = rng.standard_normal(20)
-    fit = rls_fit(spec, Dataset(xs=tuple(xs), ys=ys), 1e-10)
+    fit = rls_fit(spec, Dataset(xs=xs, ys=ys), 1e-10)
     assert np.abs(predict(spec, fit, xs) - ys).max() <= 1e-6
 
 
@@ -53,8 +53,8 @@ def test_rls_objective_no_worse_than_zero():
     rng = np.random.default_rng(4)
     ys = rng.standard_normal(15)
     for lam in (1e-6, 1e-2, 1.0):
-        fit = rls_fit(spec, Dataset(xs=tuple(xs), ys=ys), lam)
-        assert rls_objective(spec, Dataset(xs=tuple(xs), ys=ys), fit) \
+        fit = rls_fit(spec, Dataset(xs=xs, ys=ys), lam)
+        assert rls_objective(spec, Dataset(xs=xs, ys=ys), fit) \
             <= np.mean(ys ** 2) + 1e-12
 
 
@@ -63,11 +63,43 @@ def test_prediction_linear_in_labels():
     xs = sample_uniform_batch(10, 1, 3, 9)
     rng = np.random.default_rng(1)
     ys = rng.standard_normal(10)
-    fit1 = rls_fit(spec, Dataset(xs=tuple(xs), ys=ys), 0.1)
-    fit2 = rls_fit(spec, Dataset(xs=tuple(xs), ys=2.0 * ys), 0.1)
+    fit1 = rls_fit(spec, Dataset(xs=xs, ys=ys), 0.1)
+    fit2 = rls_fit(spec, Dataset(xs=xs, ys=2.0 * ys), 0.1)
     q = sample_uniform_batch(5, 1, 3, 10)
     np.testing.assert_allclose(predict(spec, fit2, q),
                                2.0 * predict(spec, fit1, q), atol=1e-10)
+
+
+@pytest.mark.parametrize("ell", [1, 127, 128, 129, 255, 256, 257, 513, 1600])
+def test_blocked_cho_solve_matches_dense_solve(ell):
+    # sizes on, just below and just past multiples of the block
+    rng = np.random.default_rng(ell)
+    X = rng.standard_normal((ell, ell))
+    A = X @ X.T / ell + np.eye(ell)
+    b = rng.standard_normal(ell)
+    b0 = b.copy()
+    L = krr.cho_factor(A)
+    assert np.array_equal(L, np.tril(L))
+    got = krr.cho_solve(L, b)
+    want = np.linalg.solve(A, b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.array_equal(b, b0)  # the right-hand side is not overwritten
+
+
+def test_cho_factor_refuses_indefinite_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        krr.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_rls_fit_matches_dense_solve():
+    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
+    ell, lam = 300, 1e-2
+    xs = sample_uniform_batch(ell, 2, 3, 12)
+    ys = np.random.default_rng(5).standard_normal(ell)
+    fit = rls_fit(spec, Dataset(xs=xs, ys=ys), lam)
+    G = gram(spec, xs)
+    want = np.linalg.solve(G + lam * ell * np.eye(ell), ys)
+    assert np.linalg.norm(fit.coeffs - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _failing_cho_factor(monkeypatch, failures):
@@ -89,7 +121,7 @@ def _failing_cho_factor(monkeypatch, failures):
 def test_rls_cholesky_jitter_retry(monkeypatch):
     spec = build_kernel(EI, 1, 3)
     xs = sample_uniform_batch(12, 1, 3, 11)
-    data = Dataset(xs=tuple(xs), ys=np.linspace(-1.0, 1.0, 12))
+    data = Dataset(xs=xs, ys=np.linspace(-1.0, 1.0, 12))
     plain = rls_fit(spec, data, 1e-3)
     calls = _failing_cho_factor(monkeypatch, failures=1)
     fit = rls_fit(spec, data, 1e-3)
@@ -105,7 +137,7 @@ def test_rls_cholesky_jitter_retry(monkeypatch):
 def test_rls_cholesky_failure_is_solver_error(monkeypatch):
     spec = build_kernel(EI, 1, 3)
     xs = sample_uniform_batch(12, 1, 3, 11)
-    data = Dataset(xs=tuple(xs), ys=np.linspace(-1.0, 1.0, 12))
+    data = Dataset(xs=xs, ys=np.linspace(-1.0, 1.0, 12))
     calls = _failing_cho_factor(monkeypatch, failures=math.inf)
     with pytest.raises(SolverError) as info:
         rls_fit(spec, data, 1e-3)
@@ -184,8 +216,8 @@ def test_source_target_in_rkhs_and_batch():
     anchor = sample_uniform(2, 3, 42)
     tgt = SourceTarget(spec, tab, anchor, [((1, 0), 1.0), ((2, 0), 0.5)])
     xs = sample_uniform_batch(7, 2, 3, 43)
-    np.testing.assert_allclose(apply_target(tgt, xs),
-                               [tgt(x) for x in xs], rtol=1e-12)
+    np.testing.assert_allclose(tgt(xs), [tgt(x[None])[0] for x in xs],
+                               rtol=1e-12)
     with pytest.raises(ValueError):
         SourceTarget(spec, tab, anchor, [((1, 1), 1.0)])  # mu = 0 leaves RKHS
 
@@ -205,29 +237,28 @@ def test_source_target_matches_scalar_addition_theorem():
             mu = mu_eigenvalue(spec, prof, tab) * tab.kappa ** 3
             term = coeff * mu ** 0.75
             for i, k in enumerate(prof):
-                term *= scalar_zonal_feature(k, 3, x.patches[i],
-                                             anchor.patches[i])
+                term *= scalar_zonal_feature(k, 3, x[i], anchor[i])
             total += term
         want.append(total)
-    np.testing.assert_allclose(tgt.batch(xs), want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(tgt(xs), want, rtol=1e-12, atol=0.0)
 
 
 def test_learning_curve_zero_target():
     spec = build_kernel(EI, 1, 3)
-    rows = learning_curve(spec, lambda x: 0.0, Schedule(beta=2.0),
-                          [8, 16], test_size=50, seed=0)
+    rows = learning_curve(spec, lambda xs: np.zeros(len(xs)),
+                          Schedule(beta=2.0), [8, 16], test_size=50, seed=0)
     assert all(r["test_mse"] <= 1e-20 for r in rows)
 
 
 def test_learning_curve_train_mse_from_fit_gram():
     spec = build_kernel([activation("square"), activation("square")], 2, 4)
-    target = lambda x: float(x.patches[0, 0] * x.patches[1, 1])
+    target = lambda xs: xs[:, 0, 0] * xs[:, 1, 1]
     sched = Schedule(beta=2.0)
     rows = learning_curve(spec, target, sched, [40, 90], test_size=20, seed=3)
     for row in rows:
         ell = row["ell"]
         train = sample_uniform_batch(ell, 2, 4, (3, ell, 0))
-        data = Dataset(xs=tuple(train), ys=apply_target(target, train))
+        data = Dataset(xs=train, ys=target(train))
         fit = rls_fit(spec, data, schedule_lambda(sched, ell, 4, spec.d_star))
         want = mse(predict(spec, fit, train), data.ys)
         assert want > 1e-6
@@ -241,7 +272,7 @@ def test_learning_curve_zonal_target_and_threads():
     tgt = SourceTarget(spec, tab, anchor, [((1,), 1.0)])
     rows = learning_curve(spec, tgt, Schedule(beta=2.0), [64, 512],
                           test_size=600, seed=1)
-    var = float(np.var(apply_target(tgt, sample_uniform_batch(600, 1, 3, 9))))
+    var = float(np.var(tgt(sample_uniform_batch(600, 1, 3, 9))))
     assert rows[1]["test_mse"] <= 0.10 * var
     # thread pool returns the same rows in the same order
     rows_t = learning_curve(spec, tgt, Schedule(beta=2.0), [64, 512],
