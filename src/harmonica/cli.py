@@ -3,7 +3,8 @@
 Every command reads a JSON config (validated against the published schemas),
 derives all randomness from --seed, and writes machine-readable output whose
 header carries the config hash and tool version. Exit codes: 0 success,
-2 config validation failure, 3 numerical tolerance failure.
+2 config validation failure or an output that cannot be written, 3
+numerical tolerance failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__, cnn
 from .activations import ActivationSpec, activation
-from .errors import ConfigError, FitError, HarmonicaError
+from .errors import ConfigError, FitError, HarmonicaError, OutputError
 from .image import (PatchConfig, extract_patches, grid_locations, load_image,
                     sample_uniform_batch)
 from .kernel import KernelSpec, TruncationConfig, build_kernel, eval_kernel
@@ -85,12 +86,15 @@ def _fmt(v) -> str:
 def _atomic_open(path: str):
     """Text handle on a new file next to ``path`` that replaces ``path``
     when the block completes; on any exception the new file is removed and
-    ``path`` is left as it was."""
+    ``path`` is left as it was. A failed write raises OutputError."""
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(tmp, "x", encoding="ascii", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "x", encoding="ascii", newline="\n") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OutputError(f"cannot write output {path}: {exc}") from exc
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -374,6 +378,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, args.out, args.seed, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HarmonicaError as exc:
         print(f"error: {exc}", file=sys.stderr)

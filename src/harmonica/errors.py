@@ -47,3 +47,8 @@ class FitError(HarmonicaError):
 
 class ConfigError(HarmonicaError):
     """CLI configuration failed validation."""
+
+
+class OutputError(OSError):
+    """An output file could not be written; any file already at its path is
+    left as it was."""

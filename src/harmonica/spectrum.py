@@ -303,7 +303,7 @@ def counting_slope(entries: list, rank_lo: int = 20, rank_hi: int = 2000,
     lam_grid = np.unique(mus[ranks])
     lam_grid = lam_grid[lam_grid < 1.0]
     counts = np.array([np.count_nonzero(mus >= lam) for lam in lam_grid])
-    x = np.log(np.log(1.0 / lam_grid))
+    x = np.log(-np.log(lam_grid))  # 1 / lam overflows for subnormal lam
     y = np.log(counts.astype(float))
     if x.size < 3 or np.ptp(x) == 0.0:
         raise FitError("degenerate counting grid")
@@ -317,13 +317,16 @@ def fit_decay(entries: list, p_grid=None, m_min: int = 1,
 
     Returns the best p with its gamma and R^2, plus the counting-function
     slope estimate. Requires >= 100 positive eigenvalues; an all-equal
-    spectrum is a fit error.
+    spectrum or a rank window of fewer than two is a fit error.
     """
     mus = expand_spectrum(entries)
     if mus.size < 100:
         raise FitError(f"need >= 100 positive eigenvalues, have {mus.size}")
     m_max = mus.size if m_max is None else min(m_max, mus.size)
     m = np.arange(m_min, m_max, dtype=float)
+    if m.size < 2:
+        raise FitError(f"rank window [{m_min}, {m_max}) holds fewer than two "
+                       "eigenvalues")
     y = np.log(mus[m_min:m_max])
     if np.ptp(y) == 0.0:
         raise FitError("flat spectrum")

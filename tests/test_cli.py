@@ -170,6 +170,26 @@ def _exit_code(command, cfg):
 
 
 @settings(max_examples=40, deadline=None)
+@given(kernel=_KERNEL, k_max=st.integers(1, 8),
+       fit_rank_range=st.one_of(st.none(), st.lists(st.integers(1, 60),
+                                                    min_size=2, max_size=2)))
+# a rank window with no eigenvalue in it
+@example(kernel={"layers": [{"activation": "exp"}, {"activation": "exp"}],
+                 "n": 3, "d": 2}, k_max=2, fit_rank_range=[1, 1])
+# eigenvalue ratios below 1/DBL_MAX: 1/lambda overflowed in counting_slope
+@example(kernel={"layers": [{"activation": "exp"},
+                            {"activation": "geometric",
+                             "ratio": 3.2906960682567283e-105}],
+                 "n": 3, "d": 2}, k_max=2, fit_rank_range=None)
+def test_spectrum_exit_codes_fuzz(kernel, k_max, fit_rank_range):
+    cfg = {"kernel": kernel, "k_max": k_max}
+    if fit_rank_range is not None:
+        cfg["fit_rank_range"] = fit_rank_range
+    assert _exit_code("spectrum", cfg) in (EXIT_OK, EXIT_CONFIG,
+                                           EXIT_TOLERANCE)
+
+
+@settings(max_examples=40, deadline=None)
 @given(kernel=_KERNEL,
        schedule=st.fixed_dictionaries(
            {"beta": st.floats(min_value=0.0, max_value=2.0, exclude_min=True)},
@@ -328,11 +348,23 @@ def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch):
         cli.write_csv(str(out), "spectrum", {}, 0, ["a"], [(1,)])
     cfg = {"n": 2, "d": 4, "count": 3,
            "network": {"filters": [1], "activations": [{"activation": "exp"}]}}
-    with pytest.raises(OSError):
-        run(tmp_path, "cnn-label", cfg, name="out.csv")
+    rc, _ = run(tmp_path, "cnn-label", cfg, name="out.csv")
+    assert rc == EXIT_CONFIG
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cnn-label.json",
                                                           "out.csv"]
+
+
+def test_unwritable_output_is_exit_2(tmp_path, capsys):
+    # the --out directory does not exist: no traceback, exit 2, and the
+    # message names the output path
+    out = tmp_path / "absent" / "out.csv"
+    cfg_path = tmp_path / "spectrum.json"
+    cfg_path.write_text(json.dumps({"kernel": KERNEL_EI, "k_max": 4}))
+    rc = main(["spectrum", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    assert f"cannot write output {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_validation_errors(tmp_path):

@@ -1,7 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from harmonica import krr
 from harmonica.activations import activation
@@ -195,6 +197,79 @@ def test_nystrom_top_k_matches_full_eigvalsh():
     want = np.linalg.eigvalsh(G)[::-1][:top_k] * (4 * math.pi) ** 2 / ell
     np.testing.assert_allclose(nystrom_eigs(spec, ell, top_k, seed=8), want,
                                rtol=1e-12)
+
+
+def _psd_with_spectrum(eigs, seed):
+    """Q diag(eigs) Q^T for a random orthogonal Q, exactly symmetric."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((eigs.size, eigs.size)))
+    a = (q * eigs) @ q.T
+    return (a + a.T) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(ell=st.integers(40, 400), rank=st.integers(0, 400),
+       decay=st.floats(0.3, 0.995), multiplet=st.booleans(),
+       k=st.one_of(st.integers(1, 12), st.integers(1, 400)),
+       seed=st.integers(0, 2 ** 16))
+# the benchmark's shape: a simple top eigenvalue, then a 9-fold multiplet
+# (the (1, 1) profile), rank 20, top 10
+@example(ell=200, rank=20, decay=0.9, multiplet=True, k=10, seed=0)
+# k past the rank, and every eigenvalue
+@example(ell=160, rank=12, decay=0.5, multiplet=True, k=30, seed=1)
+@example(ell=40, rank=40, decay=0.99, multiplet=False, k=40, seed=2)
+def test_eigvalsh_matches_dense_eigvalsh(ell, rank, decay, multiplet, k,
+                                         seed):
+    rank, k = min(rank, ell), min(k, ell)
+    eigs = np.zeros(ell)
+    eigs[:rank] = decay ** np.arange(rank)
+    if multiplet and rank >= 10:
+        eigs[1:10] = eigs[1]
+    a = _psd_with_spectrum(eigs, seed)
+    want = np.linalg.eigvalsh(a)[::-1][:k]
+    got = krr.eigvalsh(a, k)
+    assert got.shape == (k,)
+    assert np.abs(got - want).max() <= 1e-9 * abs(want[0])
+
+
+def _identity_square_gram(ell, seed):
+    spec = build_kernel([activation("identity"), activation("square")], 2, 3)
+    return gram(spec, sample_uniform_batch(ell, 2, 3, seed))
+
+
+def test_eigvalsh_bitwise_deterministic():
+    G = _identity_square_gram(400, 5)
+    assert krr.eigvalsh(G, 10).tobytes() == krr.eigvalsh(G, 10).tobytes()
+
+
+def test_eigvalsh_benchmark_gram_takes_krylov_route(caplog):
+    # the gram-eig benchmark shape: ell = 2000, k = 10, rank-20 Gram
+    G = _identity_square_gram(2000, 0)
+    with caplog.at_level(logging.INFO, logger="harmonica.krr"):
+        got = krr.eigvalsh(G, 10)
+    routes = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("eigvalsh:")]
+    assert len(routes) == 1 and "Krylov route" in routes[0], routes
+    np.testing.assert_allclose(got, np.linalg.eigvalsh(G)[::-1][:10],
+                               rtol=1e-12)
+
+
+def test_rls_fit_logs_jitter_retry(monkeypatch, caplog):
+    calls = []
+
+    def fail_first(a):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return np.linalg.cholesky(a)
+
+    monkeypatch.setattr(krr, "cho_factor", fail_first)
+    spec = build_kernel(EI, 1, 3)
+    data = Dataset(xs=sample_uniform_batch(20, 1, 3, 1), ys=np.ones(20))
+    with caplog.at_level(logging.INFO, logger="harmonica.krr"):
+        rls_fit(spec, data, 0.1)
+    assert len(calls) == 2
+    assert any("jitter" in r.getMessage() for r in caplog.records)
 
 
 def test_nystrom_needs_enough_samples():
