@@ -24,11 +24,17 @@ Musco, NeurIPS 2015, arXiv 1504.05477). Each step costs one product of the
 Gram with a block of b = max(2k, k + 8) columns. The run stops once the
 top k Ritz pairs have a residual block of Frobenius norm at most
 1e-10 |theta_1|, which bounds every |theta_i - lambda_i| by the same amount
-(see `eigvalsh`). Small Grams (4b >= ell), and runs whose basis would pass
-ell/4 columns, take the dense `np.linalg.eigvalsh` instead. On the rank-20
-identity->square Gram at ell = 2000, k = 10 (one BLAS thread) the Krylov
-route stops after two steps and 40 basis columns in about 0.02 s; the
-dense route takes about 0.8 s.
+(see `eigvalsh`). The Krylov run may cost at most a quarter of the dense
+`np.linalg.eigvalsh` under a cost model fitted to timings of both routes;
+a Gram too small for two block steps within that, or one whose residual
+trend says it will not converge within it, takes the dense route. The
+Krylov route pays off on Grams whose spectrum falls off fast past the
+k-th eigenvalue (low rank or fast decay). On the rank-20 identity->square
+Gram at ell = 2000, k = 10 (one BLAS thread) it stops after two steps and
+40 basis columns in about 0.02 s; the dense route takes about 0.85 s. A
+run that falls back has spent the two or three steps that showed the
+trend: at ell = 2000 its total came to 0.96-1.14 of the dense time,
+median 1.05 (exp->exp at k = 30: 0.91 s against 0.88 s).
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ log = logging.getLogger(__name__)
 BLOCK = 128
 # eigvalsh stops once the top-k residual block is this small against |theta_1|
 EIG_TOL = 1e-10
+# the Krylov route of eigvalsh may cost at most this share of the dense route
+KRYLOV_SHARE = 0.25
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
@@ -74,46 +82,68 @@ def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _orthogonalize(Q: np.ndarray, x: np.ndarray) -> tuple:
-    """x minus its component in the span of the orthonormal columns of Q,
-    by two classical Gram-Schmidt passes, and whether x lies outside that
-    span to working precision (per column when x is a block).
-
-    A column that loses more than half its norm in the second pass lies in
-    the span; one that keeps it is orthogonal to Q to a few ulps ("twice is
-    enough").
-    """
-    x1 = x - Q @ (Q.T @ x)
-    x2 = x1 - Q @ (Q.T @ x1)
-    return x2, np.linalg.norm(x2, axis=0) > 0.5 * np.linalg.norm(x1, axis=0)
-
-
 def _extend_basis(V: np.ndarray, m: int, X: np.ndarray, rng) -> int:
     """Store the columns of X, made orthonormal to V[:, :m] and to each
     other, in V[:, m:m + b]; return the new column count m + b.
 
-    The block is orthogonalized against the basis in one matrix product
-    per pass, then each column against the columns stored before it. A
-    column in the span of the basis (a Gram of low rank runs out of new
-    directions) is replaced by a fresh random column, orthogonalized
-    against the whole basis.
+    Each column is projected off the whole basis twice (classical
+    Gram-Schmidt; twice is enough). A column left with at most 1e-8 of its
+    norm lay in the span of the basis (a Gram of low rank runs out of new
+    directions): a fresh random column, projected the same way, takes its
+    place.
     """
-    X, outside = _orthogonalize(V[:, :m], X)
-    m0 = m
-    for x, good in zip(X.T, outside):
-        y, good_here = _orthogonalize(V[:, m0:m], x)
-        if good and np.linalg.norm(y) < 0.5 * np.linalg.norm(x):
-            # cancellation against this block's columns can cost
-            # orthogonality to the older ones: project on the whole basis
-            y, good_here = _orthogonalize(V[:, :m], y)
-        good = good and good_here
-        while not good:
-            y, good = _orthogonalize(V[:, :m], rng.standard_normal(len(y)))
-        V[:, m] = y / np.linalg.norm(y)
+    for x in X.T:
+        norm = np.linalg.norm(x)
+        while True:
+            for _ in range(2):
+                x = x - V[:, :m] @ (V[:, :m].T @ x)
+            if np.linalg.norm(x) > 1e-8 * norm:
+                break
+            x = rng.standard_normal(len(x))
+            norm = np.linalg.norm(x)
+        V[:, m] = x / np.linalg.norm(x)
         m += 1
     return m
 
 
+def _krylov_columns(ell: int, b: int) -> int:
+    """The most basis columns a Krylov run with blocks of b columns may
+    build before its modeled cost passes KRYLOV_SHARE of the dense route.
+
+    The model is in units of the dense route's time per ell^3 (about
+    1.1e-10 s on one OpenBLAS thread of a 2-core x86 machine): the dense
+    route costs ell^3 + 4e6, and a step that ends with m columns costs
+    1.2 ell^2 b (the Gram product) + 12 ell m b (orthogonalizing column by
+    column) + 3.4 m^3 (the Rayleigh-Ritz eigh) + 4e6. The constants are a
+    least-squares fit to timings of both routes at ell = 100-2000 and
+    k = 1-30; single steps fall within -40%/+40% of it.
+    """
+    budget = KRYLOV_SHARE * (ell ** 3 + 4e6)
+    m = spent = 0
+    while m + b <= ell:
+        spent += 1.2 * ell * ell * b + 12 * ell * (m + b) * b \
+            + 3.4 * (m + b) ** 3 + 4e6
+        if spent > budget:
+            break
+        m += b
+    return m
+
+
+def _steps_left(prev: float, rel: float) -> float:
+    """Block steps the residual still needs to reach EIG_TOL if it keeps
+    shrinking by the factor rel / prev of the last step (one more step
+    when there is no previous residual, none that suffice when the
+    residual is not finite or did not shrink)."""
+    if not math.isfinite(rel):
+        return math.inf
+    if math.isinf(prev):
+        return 1
+    if rel >= prev:
+        return math.inf
+    return math.ceil(math.log(EIG_TOL / rel) / math.log(rel / prev))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow sends it dense
 def eigvalsh(a: np.ndarray, k: int) -> np.ndarray:
     """The k largest eigenvalues of the symmetric matrix a, largest first.
 
@@ -133,46 +163,52 @@ def eigvalsh(a: np.ndarray, k: int) -> np.ndarray:
     misses one of the top k eigenvectors (probability zero in exact
     arithmetic), |theta_i - lambda_i| <= EIG_TOL |theta_1| for every i <= k.
 
-    Dense route, ``np.linalg.eigvalsh(a)[::-1][:k]``: when 4b >= ell (small
-    Grams), and when the basis would pass ell/4 columns before converging
-    or a product is not finite. The basis and its products are two
-    ell x ell/4 arrays at most. The route taken is logged at INFO.
+    Dense route, ``np.linalg.eigvalsh(a)[::-1][:k]``: the Krylov run may
+    build only the basis columns that KRYLOV_SHARE of the dense cost pays
+    for (`_krylov_columns`; 220 at ell = 2000, k = 10). Before each step it
+    checks that the steps it still needs fit in them: two at the start,
+    one after the first step, and after that as many as the last step's
+    residual reduction predicts (`_steps_left`). When they do not fit
+    (small Grams, where two steps already cost too much, and slowly
+    converging ones), or a product or residual is not finite, the dense
+    route is taken. The basis and its products are two ell x cap arrays,
+    and cap stays under ell/8 (checked for ell up to 50000, k up to 100).
+    The route taken is logged at INFO.
     """
     ell = a.shape[0]
     b = max(2 * k, k + 8)
-    cap = ell // 4
-    if 4 * b >= ell:
-        log.info("eigvalsh: dense route, ell=%d k=%d (block of %d columns "
-                 ">= ell/4)", ell, k, b)
-        return np.linalg.eigvalsh(a)[::-1][:k]
+    cap = _krylov_columns(ell, b)
     rng = np.random.default_rng(0)
     V = np.empty((ell, cap), order="F")  # orthonormal Krylov basis
     W = np.empty((ell, cap), order="F")  # a @ V
     H = np.empty((cap, cap))             # V^T a V
     X = rng.standard_normal((ell, b))
-    m = 0
-    rel = math.inf
-    while m + b <= cap:
+    m, rel, need = 0, math.inf, 2
+    while m + need * b <= cap:
         m0, m = m, _extend_basis(V, m, X, rng)
         W[:, m0:m] = a @ V[:, m0:m]
         if not np.isfinite(W[:, m0:m]).all():
-            break
+            log.info("eigvalsh: dense route, ell=%d k=%d: non-finite Gram "
+                     "product", ell, k)
+            return np.linalg.eigvalsh(a)[::-1][:k]
         H[:m, m0:m] = V[:, :m].T @ W[:, m0:m]
         H[m0:m, :m0] = H[:m0, m0:m].T
         theta, S = np.linalg.eigh(H[:m, :m])
         theta, S = theta[::-1][:k], S[:, ::-1][:, :k]
         resid = np.linalg.norm(W[:, :m] @ S - V[:, :m] @ (S * theta))
         scale = abs(theta[0])
-        rel = resid / scale if scale else (math.inf if resid else 0.0)
-        if resid <= EIG_TOL * scale:
+        last = resid / scale if scale else (math.inf if resid else 0.0)
+        if last <= EIG_TOL:
             log.info("eigvalsh: Krylov route, ell=%d k=%d: %d block steps, "
                      "%d basis columns, residual/|theta_1| %.2e",
-                     ell, k, m // b, m, rel)
+                     ell, k, m // b, m, last)
             return theta
+        need, rel = _steps_left(rel, last), last
         X = W[:, m0:m]
-    log.info("eigvalsh: dense route, ell=%d k=%d: not converged within "
-             "ell/4 = %d basis columns (%d block steps, residual/|theta_1| "
-             "%.2e)", ell, k, cap, m // b, rel)
+    log.info("eigvalsh: dense route, ell=%d k=%d: %d block steps and %d "
+             "basis columns (residual/|theta_1| %.2e); %s more steps would "
+             "pass the %d columns that %g of the dense cost pays for",
+             ell, k, m // b, m, rel, need, cap, KRYLOV_SHARE)
     return np.linalg.eigvalsh(a)[::-1][:k]
 
 

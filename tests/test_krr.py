@@ -1,5 +1,7 @@
 import logging
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +209,15 @@ def _psd_with_spectrum(eigs, seed):
     return (a + a.T) / 2
 
 
+def _eigvalsh_routes(a, k, caplog):
+    """krr.eigvalsh(a, k) and the INFO records it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="harmonica.krr"):
+        got = krr.eigvalsh(a, k)
+    return got, [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("eigvalsh:")]
+
+
 @settings(max_examples=60, deadline=None)
 @given(ell=st.integers(40, 400), rank=st.integers(0, 400),
        decay=st.floats(0.3, 0.995), multiplet=st.booleans(),
@@ -230,6 +241,12 @@ def test_eigvalsh_matches_dense_eigvalsh(ell, rank, decay, multiplet, k,
     got = krr.eigvalsh(a, k)
     assert got.shape == (k,)
     assert np.abs(got - want).max() <= 1e-9 * abs(want[0])
+    # at these sizes the cost budget mostly picks the dense route; with no
+    # budget the Krylov route runs until it converges or fills ell columns
+    with mock.patch.object(krr, "KRYLOV_SHARE", math.inf):
+        got = krr.eigvalsh(a, k)
+    assert got.shape == (k,)
+    assert np.abs(got - want).max() <= 1e-9 * abs(want[0])
 
 
 def _identity_square_gram(ell, seed):
@@ -237,21 +254,52 @@ def _identity_square_gram(ell, seed):
     return gram(spec, sample_uniform_batch(ell, 2, 3, seed))
 
 
-def test_eigvalsh_bitwise_deterministic():
-    G = _identity_square_gram(400, 5)
-    assert krr.eigvalsh(G, 10).tobytes() == krr.eigvalsh(G, 10).tobytes()
+def test_eigvalsh_bitwise_deterministic(caplog):
+    G = _identity_square_gram(1000, 5)
+    first, routes = _eigvalsh_routes(G, 10, caplog)
+    assert len(routes) == 1 and "Krylov route" in routes[0], routes
+    assert first.tobytes() == krr.eigvalsh(G, 10).tobytes()
 
 
 def test_eigvalsh_benchmark_gram_takes_krylov_route(caplog):
     # the gram-eig benchmark shape: ell = 2000, k = 10, rank-20 Gram
     G = _identity_square_gram(2000, 0)
-    with caplog.at_level(logging.INFO, logger="harmonica.krr"):
-        got = krr.eigvalsh(G, 10)
-    routes = [r.getMessage() for r in caplog.records
-              if r.getMessage().startswith("eigvalsh:")]
+    got, routes = _eigvalsh_routes(G, 10, caplog)
     assert len(routes) == 1 and "Krylov route" in routes[0], routes
     np.testing.assert_allclose(got, np.linalg.eigvalsh(G)[::-1][:10],
                                rtol=1e-12)
+
+
+def test_eigvalsh_small_gram_takes_dense_route_at_once(caplog):
+    # ell = 400, k = 12: the budget pays for one block step of 24 columns,
+    # not for the two that any convergence needs
+    assert krr._krylov_columns(400, 24) == 24
+    G = _identity_square_gram(400, 8)
+    got, routes = _eigvalsh_routes(G, 12, caplog)
+    assert len(routes) == 1 and "dense route" in routes[0], routes
+    assert "0 block steps" in routes[0], routes
+    assert got.tobytes() == np.linalg.eigvalsh(G)[::-1][:12].tobytes()
+
+
+def test_eigvalsh_slow_spectrum_falls_back_after_two_steps(caplog):
+    # a nearly flat spectrum: the residual shrinks about twofold per step,
+    # so the trend after two steps already passes the column budget
+    i = np.arange(1, 1001)
+    a = _psd_with_spectrum(1 + 1e-3 * np.sin(i), 0)
+    got, routes = _eigvalsh_routes(a, 10, caplog)
+    assert len(routes) == 1 and "dense route" in routes[0], routes
+    assert "2 block steps" in routes[0], routes
+    assert got.tobytes() == np.linalg.eigvalsh(a)[::-1][:10].tobytes()
+
+
+def test_eigvalsh_non_finite_product_takes_dense_route(caplog):
+    # the Krylov route's products overflow; that is handled, not warned
+    a = np.full((1000, 1000), np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, routes = _eigvalsh_routes(a, 1, caplog)
+    assert routes == ["eigvalsh: dense route, ell=1000 k=1: non-finite "
+                      "Gram product"], routes
 
 
 def test_rls_fit_logs_jitter_retry(monkeypatch, caplog):
