@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__, cnn
 from .activations import ActivationSpec, activation
-from .errors import ConfigError, FitError, HarmonicaError, OutputError
+from .errors import (ConfigError, FitError, HarmonicaError, OutputError,
+                     StructuralError)
 from .image import (PatchConfig, extract_patches, grid_locations, load_image,
                     sample_uniform_batch)
 from .kernel import KernelSpec, TruncationConfig, build_kernel, eval_kernel
@@ -310,12 +311,16 @@ def cmd_cnn_label(cfg: dict, out: str, seed: int, args) -> int:
         for path in doc["paths"]:
             try:
                 img = load_image(path)
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, StructuralError) as exc:
                 raise ConfigError(f"cannot read image {path}: {exc}") from exc
             locs = doc.get("locations")
             if locs is None:
                 locs = grid_locations(img.h, img.w, r, doc.get("stride"))
-            pc = PatchConfig(r=r, locations=tuple(tuple(v) for v in locs))
+            try:  # no location given, or none of the stride grid fits
+                pc = PatchConfig(r=r, locations=tuple(tuple(v) for v in locs))
+            except ValueError as exc:
+                raise ConfigError(f"image {path} ({img.h}x{img.w}), r={r}: "
+                                  f"{exc}") from exc
             rows.append(extract_patches(img, pc))
         if any(x.shape != rows[0].shape for x in rows):
             raise ConfigError("images yield inconsistent patch layouts")

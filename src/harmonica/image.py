@@ -11,6 +11,7 @@ of w reals) and single-channel portable graymaps (P2/P5).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,22 +101,28 @@ def unit_patches(a) -> np.ndarray:
     return p
 
 
+@np.errstate(over="ignore")  # an overflowing sum of squares is rescaled
 def extract_patches(img: Image, cfg: PatchConfig) -> np.ndarray:
     """Flatten each configured r x r window row-major and normalize it.
 
     Returns the (n, d) unit patches of the image. A zero-norm window is a
     degenerate-patch error: such images fall outside the normalized image
-    space.
+    space. A window whose sum of squares leaves the normal double range
+    (pixels past about 1e154 or below about 1e-154) is first divided by its
+    largest magnitude, so it normalizes like any other.
     """
     cfg.validate_for(img)
     r = cfg.r
     rows = []
     for (i, j) in cfg.locations:
         win = img.pixels[i - 1:i - 1 + r, j - 1:j - 1 + r].reshape(-1)
-        nrm = math.sqrt(float(np.dot(win, win)))
-        if nrm == 0.0:
+        sq = float(np.dot(win, win))
+        if not sys.float_info.min <= sq < math.inf and win.any():
+            win = win / np.max(np.abs(win))
+            sq = float(np.dot(win, win))
+        if sq == 0.0:
             raise DegeneratePatchError(f"zero-norm window at ({i},{j})")
-        rows.append(win / nrm)
+        rows.append(win / math.sqrt(sq))
     return unit_patches(rows)
 
 
@@ -162,16 +169,23 @@ def load_image_pgm(path) -> Image:
     with open(path, "rb") as fh:
         raw = fh.read()
     tokens = _pgm_tokens(raw)
-    magic = next(tokens)
+
+    def take() -> bytes:
+        tok = next(tokens, None)
+        if tok is None:
+            raise StructuralError(f"{path}: graymap ends early")
+        return tok
+
+    magic = take()
     if magic not in (b"P2", b"P5"):
         raise StructuralError(f"{path}: not a P2/P5 graymap")
-    w = int(next(tokens))
-    h = int(next(tokens))
-    maxval = int(next(tokens))
+    w = int(take())
+    h = int(take())
+    maxval = int(take())
     if maxval <= 0:
         raise StructuralError(f"{path}: bad maxval {maxval}")
     if magic == b"P2":
-        vals = [int(next(tokens)) for _ in range(h * w)]
+        vals = [int(take()) for _ in range(h * w)]
         data = np.asarray(vals, dtype=float).reshape(h, w)
     else:
         offset = _pgm_binary_offset(raw)

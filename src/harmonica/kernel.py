@@ -6,13 +6,20 @@ and g the composed chain of the outer majorants. `eval_kernel`, `gram`,
 function, `_kernel_values`, which takes the inner products patch by patch.
 Its Horner passes (`eval_series`) stop at each series' last nonzero
 coefficient, so padding f1 or g to a larger order changes no bit of any
-value. Gram matrices take each patch's inner products from one matrix
-product, never from an (a, b, n) tensor. The spectral route lives in
+value. Gram matrices are built one tile of rows at a time: a tile's
+per-patch inner products come from one matrix product into a scratch tile
+of about TILE_BYTES, the clip, both Horner passes and the patch sum run in
+place in two more such tiles, and the finished tile is written into the
+result once. Peak memory is the result plus three tiles, never an (a, b, n)
+tensor or a whole-matrix temporary. `gram` computes the tiles from the
+diagonal rightward and then copies the strict upper triangle into the
+lower one, so its result is exactly symmetric. The spectral route lives in
 `spectrum` and the two are cross-checked by the Mercer reconstruction tests.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +29,22 @@ from .activations import ActivationSpec, majorant_series
 from .errors import StructuralError
 from .taylor import (CoeffSeries, DEFAULT_L_MAX, compose, eval_series,
                      identity_series, series_from)
+
+log = logging.getLogger(__name__)
+
+# Bytes of each of the three scratch tiles a gram or cross_gram call
+# allocates: a tile holds TILE_BYTES // (8 * columns) rows, rounded down to
+# a multiple of TILE_ALIGN and at least TILE_ALIGN (8 rows of a 2000-column
+# Gram). Measured on one OpenBLAS thread of a 2-core x86 machine, 256 KiB
+# tiles were no faster and left the learning curve's peak resident memory
+# 0.3 MiB above that of 128 KiB tiles, 512 KiB tiles 1.1 MiB above.
+TILE_BYTES = 128 * 1024
+# BLAS kernels work on panels of a few rows and columns, and a row or column
+# left over at a panel's edge may be summed in another order. Tiles that
+# start on a multiple of 8 rows (and, in gram, 8 columns) keep the panels of
+# the whole-matrix product, which makes the products, and so the Grams, of
+# the benchmark configurations bitwise those of one whole-matrix product.
+TILE_ALIGN = 8
 
 
 @dataclass(frozen=True)
@@ -133,16 +156,22 @@ def _composed_degree(acts: list) -> float:
     return prod
 
 
-def _kernel_values(spec: KernelSpec, products):
+def _kernel_values(spec: KernelSpec, products, out=None):
     """g(sum_p f1(t_p)) from the inner products t_p of each patch p.
 
     ``products`` yields one array (or scalar) per patch, all of one shape;
     an (n, ...) array qualifies. Inner products are clipped to [-1, 1].
+    With ``out``, a pair (s, f) of float arrays of that shape, everything
+    runs in place: each product array is clipped where it lies, f takes
+    each f1 pass and then g, s the patch sum, and f is returned. The
+    operations, and so every value, are those of the allocating form.
     """
-    s = 0.0
+    s, f = (None, None) if out is None else out
+    total = 0.0
     for t in products:
-        s = s + eval_series(spec.f1, np.clip(t, -1.0, 1.0))
-    return eval_series(spec.g, s)
+        t = np.clip(t, -1.0, 1.0, out=None if out is None else t)
+        total = np.add(total, eval_series(spec.f1, t, out=f), out=s)
+    return eval_series(spec.g, total, out=f)
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -163,19 +192,58 @@ def _batch(spec: KernelSpec, xs) -> np.ndarray:
     return a
 
 
+def _fill_tiles(spec: KernelSpec, a, b, G, upper: bool) -> None:
+    """Write K(a[i], b[j]) into G one tile of rows at a time; with
+    ``upper`` (b is a), only the columns from each tile's first row
+    rightward, which covers the upper triangle."""
+    count, cols = G.shape
+    rows = TILE_BYTES // (8 * max(cols, 1)) // TILE_ALIGN * TILE_ALIGN
+    rows = max(rows, TILE_ALIGN)
+    scratch = [np.empty(min(rows, count) * cols) for _ in range(3)]
+    starts = range(0, count, rows)
+    for i0 in starts:
+        i1 = min(i0 + rows, count)
+        j0 = i0 if upper else 0
+        shape = (i1 - i0, cols - j0)
+        t, s, f = (x[:shape[0] * shape[1]].reshape(shape) for x in scratch)
+        products = (np.matmul(a[i0:i1, p], b[j0:, p].T, out=t)
+                    for p in range(spec.n))
+        G[i0:i1, j0:] = _kernel_values(spec, products, out=(s, f))
+    log.info("%s %dx%d: %d rows per tile, %d tiles, %d scratch bytes",
+             "gram" if upper else "cross_gram", count, cols, rows,
+             len(starts), sum(x.nbytes for x in scratch))
+
+
+def _mirror_upper(G) -> None:
+    """Copy the strict upper triangle of the square G into the lower one,
+    in strips of 128 rows (a strip that narrow copies at a quarter of the
+    cost of tile-wide strips of 8 rows, without a temporary)."""
+    strip = 128
+    lower = np.tri(strip, strip, -1, dtype=bool)
+    for i0 in range(0, len(G), strip):
+        i1 = i0 + strip
+        G[i1:, i0:i1] = G[i0:i1, i1:].T
+        block = G[i0:i1, i0:i1]
+        np.copyto(block, block.T, where=lower[:len(block), :len(block)])
+
+
 def gram(spec: KernelSpec, xs) -> np.ndarray:
     """Symmetric Gram matrix G[i][j] = K(xs[i], xs[j]) of a (count, n, d)
-    batch."""
+    batch; the upper triangle is evaluated and copied into the lower one,
+    so G is exactly symmetric."""
     a = _batch(spec, xs)
-    G = _kernel_values(spec, (a[:, p] @ a[:, p].T for p in range(spec.n)))
-    return 0.5 * (G + G.T)  # exact symmetry whatever order BLAS sums in
+    G = np.empty((len(a), len(a)))
+    _fill_tiles(spec, a, a, G, upper=True)
+    _mirror_upper(G)
+    return G
 
 
 def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
-    """K(xs[i], ys[j]) for all pairs of two batches, one matrix product per
-    patch."""
+    """K(xs[i], ys[j]) for all pairs of two batches."""
     a, b = _batch(spec, xs), _batch(spec, ys)
-    return _kernel_values(spec, (a[:, p] @ b[:, p].T for p in range(spec.n)))
+    G = np.empty((len(a), len(b)))
+    _fill_tiles(spec, a, b, G, upper=False)
+    return G
 
 
 def constant_kernel(value: float, n: int, d: int,

@@ -267,7 +267,8 @@ def _bounded_gram(spec: KernelSpec, xs) -> np.ndarray:
     """gram(spec, xs), refusing a kernel whose values leave double range.
 
     The series are nonnegative, so |K(x, y)| <= K(x, x) = diag_value()
-    bounds every entry, and gram's symmetrization adds two of them.
+    bounds every entry. A diagonal whose double still fits leaves room for
+    the ridge shift that `rls_fit` adds to it.
     """
     diag = spec.diag_value()
     if not math.isfinite(2.0 * diag):
@@ -282,15 +283,19 @@ def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
         raise ValueError("lambda must be positive and finite")
     ell = len(data)
     G = _bounded_gram(spec, data.xs)
-    A = G + lam * ell * np.eye(ell)
+    A = G.copy()
+    diag = np.diag_indices(ell)
+    A[diag] += lam * ell
     try:
         c = cho_solve(cho_factor(A), data.ys)
     except np.linalg.LinAlgError:
         jitter = 1e-12 * np.trace(G) / ell
         log.info("rls_fit: Cholesky failed at ell=%d; retrying with jitter "
                  "%.3e", ell, jitter)
+        jittered = A.copy()
+        jittered[diag] += jitter
         try:
-            c = cho_solve(cho_factor(A + jitter * np.eye(ell)), data.ys)
+            c = cho_solve(cho_factor(jittered), data.ys)
         except np.linalg.LinAlgError as exc:
             cond = float(np.linalg.cond(A))
             raise SolverError(

@@ -242,12 +242,15 @@ def composition_tail(outer: CoeffSeries, inner: CoeffSeries,
     return t2 * step / (1.0 - step)
 
 
-def eval_series(a: CoeffSeries, t):
+def eval_series(a: CoeffSeries, t, out=None):
     """Horner evaluation sum_m a[m] t^m; accepts scalars or arrays.
 
     Horner starts at the last nonzero coefficient. For finite t the trailing
     zeros of a padded series would only add exact zeros, so a series padded
     to any order gives bitwise the values of the same series at its degree.
+    For array t, ``out`` (a float array of t's shape other than t itself)
+    takes the values in place of a new array and is returned; the
+    operations, and so every value, are the same either way.
     """
     coeffs = a.coeffs[: (a.degree() or 0) + 1]
     if np.isscalar(t):
@@ -256,7 +259,8 @@ def eval_series(a: CoeffSeries, t):
             acc = acc * t + c
         return acc
     t = np.asarray(t, dtype=float)
-    acc = np.full(t.shape, coeffs[-1])
+    acc = np.empty(t.shape) if out is None else out
+    acc.fill(coeffs[-1])
     for c in reversed(coeffs[:-1]):
         acc *= t
         acc += c

@@ -226,6 +226,101 @@ def test_cnn_label_exit_codes_fuzz(network, n, d, count):
                                             EXIT_TOLERANCE)
 
 
+def _write_image(path, fmt, pixels, maxval, cut):
+    """One image file: a text matrix or a P2/P5 graymap with ``maxval``,
+    with its last ``cut`` characters, tokens or bytes of pixel data cut."""
+    px = np.asarray(pixels, dtype=float)
+    h, w = px.shape
+    if fmt == "txt":
+        body = f"{h} {w}\n" + "\n".join(
+            " ".join(repr(float(v)) for v in row) for row in px)
+        path.write_text(body[:len(body) - cut])
+    elif fmt == "P2":
+        toks = [str(int(v)) for v in px.reshape(-1)]
+        toks = toks[:len(toks) - cut]
+        path.write_bytes(f"P2\n{w} {h}\n{maxval}\n{' '.join(toks)}\n".encode())
+    else:
+        data = px.astype(">u1" if maxval < 256 else ">u2").tobytes()
+        path.write_bytes(f"P5\n{w} {h}\n{maxval}\n".encode()
+                         + data[:len(data) - cut])
+
+
+@st.composite
+def _images(draw):
+    fmt = draw(st.sampled_from(["txt", "P2", "P5"]))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.one_of(st.just(0), st.integers(1, 65535)))
+    if draw(st.booleans()):  # constant, so zero-norm windows when 0
+        value = st.just(draw(st.integers(0, 2)))
+    elif fmt == "txt":
+        value = _FINITE
+    else:
+        value = st.integers(0, max(maxval, 1))
+    pixels = draw(st.lists(st.lists(value, min_size=w, max_size=w),
+                           min_size=h, max_size=h))
+    return fmt, pixels, maxval, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(images=st.lists(_images(), min_size=1, max_size=2), r=st.integers(2, 6),
+       locations=st.one_of(st.none(), st.lists(
+           st.lists(st.integers(1, 7), min_size=2, max_size=2), max_size=3)),
+       stride=st.one_of(st.none(), st.integers(1, 3)))
+# r past the image: no window on the stride grid
+@example(images=[("txt", [[1.0]], 0, 0)], r=2, locations=None, stride=None)
+# a P2 graymap with fewer pixels than its header promises
+@example(images=[("P2", [[1.0, 2.0]], 255, 1)], r=2, locations=None,
+         stride=None)
+# pixels whose squares overflow
+@example(images=[("txt", [[0.0, 0.0], [0.0, 1.35e154]], 0, 0)], r=2,
+         locations=None, stride=None)
+def test_cnn_label_image_exit_codes_fuzz(images, r, locations, stride):
+    """Schema-valid image ingestion ends in exit 0, 2 or 3: constant images,
+    windows past the image, out-of-range locations, truncated files and a
+    zero maxval included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for k, (fmt, pixels, maxval, cut) in enumerate(images):
+            path = Path(tmp) / (f"{k}.txt" if fmt == "txt" else f"{k}.pgm")
+            _write_image(path, fmt, pixels, maxval, cut)
+            paths.append(str(path))
+        doc = {"paths": paths, "r": r}
+        if locations is not None:
+            doc["locations"] = locations
+        if stride is not None:
+            doc["stride"] = stride
+        cfg = {"network": {"filters": [1],
+                           "activations": [{"activation": "exp"}]},
+               "images": doc}
+        rc, _ = run(Path(tmp), "cnn-label", cfg, name="out.jsonl")
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
+
+
+def test_cnn_label_image_edge_cases_exit_codes(tmp_path):
+    """Windows that do not fit and truncated files are config errors;
+    pixels whose squares leave the double range still normalize."""
+    net = {"filters": [1], "activations": [{"activation": "exp"}]}
+    cases = [(("txt", [[1.0]], 0, 0), EXIT_CONFIG),
+             (("txt", [[1.0, 2.0], [3.0, 4.0]], 0, 0), EXIT_OK),
+             (("P2", [[1.0, 2.0], [3.0, 4.0]], 255, 1), EXIT_CONFIG),
+             (("P5", [[1.0, 2.0], [3.0, 4.0]], 255, 1), EXIT_CONFIG),
+             (("P5", [[1.0, 2.0], [3.0, 4.0]], 0, 0), EXIT_CONFIG),
+             (("txt", [[0.0, 0.0], [0.0, 1.35e154]], 0, 0), EXIT_OK),
+             (("txt", [[0.0, 0.0], [0.0, 1e-160]], 0, 0), EXIT_OK)]
+    for k, ((fmt, pixels, maxval, cut), want) in enumerate(cases):
+        path = tmp_path / (f"{k}.txt" if fmt == "txt" else f"{k}.pgm")
+        _write_image(path, fmt, pixels, maxval, cut)
+        cfg = {"network": net, "images": {"paths": [str(path)], "r": 2}}
+        rc, out = run(tmp_path, "cnn-label", cfg, name=f"{k}.jsonl")
+        assert rc == want, (k, rc)
+        if rc == EXIT_OK:
+            rec = json.loads(out.read_text().splitlines()[1])
+            np.testing.assert_allclose(rec["patches"], [[0.0, 0.0, 0.0, 1.0]]
+                                       if pixels[0][0] == 0.0 else
+                                       [[1.0, 2.0, 3.0, 4.0]] / np.sqrt(30.0),
+                                       rtol=1e-15)
+
+
 def test_learning_curve_command(tmp_path):
     cfg = {
         "kernel": KERNEL_EI,

@@ -1,8 +1,15 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from harmonica import kernel
 from harmonica.activations import activation
 from harmonica.errors import StructuralError
 from harmonica.image import sample_uniform, sample_uniform_batch
@@ -151,3 +158,104 @@ def test_truncation_config_from_dict():
     tc = TruncationConfig.from_dict({"K_max": 9, "A_max": 5, "Q_max": 32,
                                      "s_tol": 1e-10})
     assert (tc.k_max, tc.a_max, tc.q_max, tc.s_tol) == (9, 5, 32, 1e-10)
+
+
+def untiled_values(spec, a, b):
+    """The whole-matrix evaluation the tiled engine replaced: one (a, b)
+    product per patch, each pass of the kernel over all pairs at once."""
+    s = 0.0
+    for p in range(spec.n):
+        s = s + eval_series(spec.f1, np.clip(a[:, p] @ b[:, p].T, -1.0, 1.0))
+    return eval_series(spec.g, s)
+
+
+_TILED_KERNELS = {
+    "exp->exp": ([activation("exp"), activation("exp")], None),
+    "geometric->identity": ([activation("geometric", ratio=0.5),
+                             activation("identity")], None),
+    "square->square, padded": ([activation("square")] * 2, None),
+    "square->square, exact order": ([activation("square")] * 2,
+                                    TruncationConfig(series_order=2, q_max=2)),
+    "identity->square": ([activation("identity"), activation("square")],
+                         None),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_TILED_KERNELS)), n=st.integers(1, 4),
+       d=st.integers(2, 4), count=st.integers(1, 40),
+       other=st.integers(1, 40), tile_rows=st.sampled_from([8, 16]),
+       data=st.data())
+def test_tiled_grams_bitwise_equal_untiled(name, n, d, count, other,
+                                           tile_rows, data):
+    """Every tile layout gives the whole-matrix values bit for bit.
+
+    Coordinates are multiples of 1/8 of at most 3/4, so every inner product
+    is exact whatever order a BLAS kernel sums in, and some leave [-1, 1]
+    and are clipped; the kernel passes must then match exactly. Tiles of 8
+    or 16 rows make counts 1, below one tile, on and just past a tile
+    boundary and between boundaries all occur.
+    """
+    acts, trunc = _TILED_KERNELS[name]
+    spec = build_kernel(acts, n, d, trunc)
+    xs, ys = (data.draw(arrays(np.int64, (rows, n, d),
+                               elements=st.integers(-6, 6))) / 8.0
+              for rows in (count, other))
+    with mock.patch.object(kernel, "TILE_BYTES", 8 * tile_rows * other):
+        C = cross_gram(spec, xs, ys)
+    with mock.patch.object(kernel, "TILE_BYTES", 8 * tile_rows * count):
+        G = gram(spec, xs)
+    want = untiled_values(spec, xs, xs)
+    assert np.array_equal(C, untiled_values(spec, xs, ys))
+    assert np.array_equal(G, 0.5 * (want + want.T))
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(G, cross_gram(spec, xs, xs))
+
+
+def test_gram_exactly_symmetric_across_tiles():
+    """Sphere samples whose products BLAS rounds: the lower triangle is a
+    copy of the upper one, diagonal tiles included."""
+    for acts, n, d in [(["exp", "exp"], 2, 3), (["identity", "square"], 3, 4),
+                       (["erf_sigmoid", "smooth_hinge"], 1, 9)]:
+        spec = build_kernel([activation(a) for a in acts], n, d)
+        xs = sample_uniform_batch(61, n, d, (n, d))
+        with mock.patch.object(kernel, "TILE_BYTES", 8 * 8 * 61):
+            G = gram(spec, xs)
+        assert np.array_equal(G, G.T)
+        np.testing.assert_allclose(G, untiled_values(spec, xs, xs),
+                                   rtol=1e-13, atol=1e-13 * spec.diag_value())
+
+
+def test_gram_peak_memory_is_result_plus_scratch():
+    """One ell = 2000 Gram allocates its result and a few tiles, not the
+    whole-matrix temporaries (122 MiB peak for the 30.5 MiB result)."""
+    spec = build_kernel([activation("identity"), activation("square")], 2, 3)
+    xs = sample_uniform_batch(2000, 2, 3, 0)
+    tracemalloc.start()
+    try:
+        G = gram(spec, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= G.nbytes + 2 * 2 ** 20
+
+
+def test_concurrent_grams_match_serial():
+    """Scratch tiles belong to one call: grams and cross grams running in
+    more threads than cores, switching often, give the serial results."""
+    spec = build_kernel([activation("exp"), activation("square")], 2, 4)
+    batches = [sample_uniform_batch(150 + 17 * i, 2, 4, i) for i in range(6)]
+    jobs = [(gram, (spec, b)) for b in batches]
+    jobs += [(cross_gram, (spec, b, batches[0])) for b in batches]
+    old = sys.getswitchinterval()
+    with mock.patch.object(kernel, "TILE_BYTES", 8 * 8 * 150):
+        want = [f(*args) for f, args in jobs]
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(f, *args) for f, args in jobs * 3]
+                got = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(old)
+    for g, w in zip(got, want * 3):
+        assert np.array_equal(g, w)
