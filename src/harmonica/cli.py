@@ -321,7 +321,10 @@ def cmd_cnn_label(cfg: dict, out: str, seed: int, args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"image {path} ({img.h}x{img.w}), r={r}: "
                                   f"{exc}") from exc
-            rows.append(extract_patches(img, pc))
+            try:  # a configured location whose window leaves the image
+                rows.append(extract_patches(img, pc))
+            except StructuralError as exc:
+                raise ConfigError(str(exc)) from exc
         if any(x.shape != rows[0].shape for x in rows):
             raise ConfigError("images yield inconsistent patch layouts")
         xs = np.stack(rows)

@@ -274,6 +274,9 @@ def _images(draw):
 # pixels whose squares overflow
 @example(images=[("txt", [[0.0, 0.0], [0.0, 1.35e154]], 0, 0)], r=2,
          locations=None, stride=None)
+# a configured location whose window leaves the image
+@example(images=[("txt", [[1.0] * 4] * 4, 0, 0)], r=2, locations=[[4, 4]],
+         stride=None)
 def test_cnn_label_image_exit_codes_fuzz(images, r, locations, stride):
     """Schema-valid image ingestion ends in exit 0, 2 or 3: constant images,
     windows past the image, out-of-range locations, truncated files and a
@@ -296,9 +299,10 @@ def test_cnn_label_image_exit_codes_fuzz(images, r, locations, stride):
     assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
 
 
-def test_cnn_label_image_edge_cases_exit_codes(tmp_path):
-    """Windows that do not fit and truncated files are config errors;
-    pixels whose squares leave the double range still normalize."""
+def test_cnn_label_image_edge_cases_exit_codes(tmp_path, capsys):
+    """Windows that do not fit, locations outside the image and truncated
+    files are config errors; pixels whose squares leave the double range
+    still normalize."""
     net = {"filters": [1], "activations": [{"activation": "exp"}]}
     cases = [(("txt", [[1.0]], 0, 0), EXIT_CONFIG),
              (("txt", [[1.0, 2.0], [3.0, 4.0]], 0, 0), EXIT_OK),
@@ -319,6 +323,16 @@ def test_cnn_label_image_edge_cases_exit_codes(tmp_path):
                                        if pixels[0][0] == 0.0 else
                                        [[1.0, 2.0, 3.0, 4.0]] / np.sqrt(30.0),
                                        rtol=1e-15)
+    # a configured location whose 2x2 window leaves a 4x4 image
+    path = tmp_path / "edge.txt"
+    _write_image(path, "txt", [[1.0] * 4] * 4, 0, 0)
+    cfg = {"network": net, "images": {"paths": [str(path)], "r": 2,
+                                      "locations": [[1, 1], [4, 4]]}}
+    capsys.readouterr()
+    rc, _ = run(tmp_path, "cnn-label", cfg, name="edge.jsonl")
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: location (4,4) outside "
+                                       "valid grid for 4x4 image with r=2\n")
 
 
 def test_learning_curve_command(tmp_path):

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -76,14 +77,19 @@ def test_prediction_linear_in_labels():
 
 @pytest.mark.parametrize("ell", [1, 127, 128, 129, 255, 256, 257, 513, 1600])
 def test_blocked_cho_solve_matches_dense_solve(ell):
-    # sizes on, just below and just past multiples of the block
+    # sizes on, just below and just past multiples of the block, for the
+    # blocked factor and the blocked substitutions
     rng = np.random.default_rng(ell)
     X = rng.standard_normal((ell, ell))
     A = X @ X.T / ell + np.eye(ell)
     b = rng.standard_normal(ell)
     b0 = b.copy()
+    A0 = A.tobytes()
     L = krr.cho_factor(A)
+    assert A.tobytes() == A0  # the matrix is read, never written
     assert np.array_equal(L, np.tril(L))
+    ref = np.linalg.cholesky(A)
+    assert np.abs(L - ref).max() <= 1e-13 * np.abs(ref).max()
     got = krr.cho_solve(L, b)
     want = np.linalg.solve(A, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -93,6 +99,56 @@ def test_blocked_cho_solve_matches_dense_solve(ell):
 def test_cho_factor_refuses_indefinite_matrix():
     with pytest.raises(np.linalg.LinAlgError):
         krr.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_cho_factor_refuses_failure_in_last_block():
+    # positive definite except in its last diagonal block (rows 256-299):
+    # every diagonal entry stays positive, but the last pivot, the Schur
+    # complement of the leading 299 x 299 block, turns negative
+    ell = 300
+    X = np.random.default_rng(3).standard_normal((ell, ell))
+    A = X @ X.T / ell + np.eye(ell)
+    head = A[:-1, :-1]
+    schur = A[-1, -1] - A[-1, :-1] @ np.linalg.solve(head, A[:-1, -1])
+    A[-1, -1] -= 1.01 * schur
+    assert np.all(np.diag(A) > 0)
+    np.linalg.cholesky(A[:256, :256])  # the earlier blocks factor
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(A)
+    with pytest.raises(np.linalg.LinAlgError):
+        krr.cho_factor(A)
+
+
+def test_rls_fit_holds_gram_and_factor_only():
+    """One fit allocates the Gram and its Cholesky factor and no third
+    ell x ell array: no shifted copy of the Gram (the ridge goes onto its
+    diagonal) and no copy of the input inside the factorization."""
+    ell = 1600
+    spec = build_kernel(EI, 1, 3)
+    data = Dataset(xs=sample_uniform_batch(ell, 1, 3, 2),
+                   ys=np.random.default_rng(2).standard_normal(ell))
+    tracemalloc.start()
+    try:
+        rls_fit(spec, data, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * ell * ell * 8 + 4 * 2 ** 20
+
+
+def test_rls_fitted_values_are_gram_times_coeffs(monkeypatch):
+    """The diagonal the ridge and jitter went onto is restored exactly, so
+    the fitted values are G c bit for bit, with or without a retry."""
+    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
+    xs = sample_uniform_batch(300, 2, 3, 13)
+    data = Dataset(xs=xs, ys=np.random.default_rng(6).standard_normal(300))
+    G = gram(spec, xs)
+    plain = rls_fit(spec, data, 1e-2)
+    assert plain.fitted.tobytes() == (G @ plain.coeffs).tobytes()
+    calls = _failing_cho_factor(monkeypatch, failures=1)
+    retried = rls_fit(spec, data, 1e-2)
+    assert len(calls) == 2
+    assert retried.fitted.tobytes() == (G @ retried.coeffs).tobytes()
 
 
 def test_rls_fit_matches_dense_solve():
