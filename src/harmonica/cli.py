@@ -15,10 +15,10 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import __version__, cnn
@@ -30,7 +30,7 @@ from .image import (PatchConfig, extract_patches, grid_locations, load_image,
 from .kernel import KernelSpec, TruncationConfig, build_kernel, eval_kernel
 from .krr import (Schedule, SourceTarget, closed_form_top_eigs,
                   learning_curve, nystrom_eigs)
-from .schema import SCHEMAS
+from .schema import SCHEMAS, validate
 from .spectrum import (SpectralExpansion, enumerate_spectrum, fit_decay,
                        lambda_table)
 
@@ -56,19 +56,26 @@ def load_config(path: str, command: str) -> dict:
     def refuse(name: str):  # Python's json accepts NaN and Infinity; JSON not
         raise ConfigError(f"{path}: non-finite number {name}")
 
+    def finite(parse):  # 1e400 parses to inf with no constant
+        def checked(literal: str):
+            if not math.isfinite(float(literal)):
+                refuse(literal)
+            return parse(literal)
+        return checked
+
     try:
-        cfg = json.loads(text, parse_constant=refuse)
+        cfg = json.loads(text, parse_constant=refuse,
+                         parse_float=finite(float), parse_int=finite(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    validator = jsonschema.Draft202012Validator(SCHEMAS[command])
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    errors = sorted(validate(cfg, SCHEMAS[command]), key=lambda e: e[0])
     if errors:
-        e = errors[0]
+        at, message = errors[0]
         where = "$" + "".join(f".{p}" if isinstance(p, str) else f"[{p}]"
-                              for p in e.absolute_path)
-        raise ConfigError(f"{path}: {where}: {e.message}")
+                              for p in at)
+        raise ConfigError(f"{path}: {where}: {message}")
     return cfg
 
 
@@ -336,6 +343,8 @@ def cmd_cnn_label(cfg: dict, out: str, seed: int, args) -> int:
     params, acts = _network_from(cfg["network"], xs.shape[1], xs.shape[2],
                                  (seed, 7))
     labels = cnn.forward(params, acts, xs)
+    if not np.all(np.isfinite(labels)):
+        raise OverflowError("network labels leave double range")
     with _atomic_open(out) as fh:
         fh.write(json.dumps({"harmonica": __version__, "command": "cnn-label",
                              "config_sha256": config_hash(cfg), "seed": seed},
@@ -383,7 +392,10 @@ def main(argv=None) -> int:
         if args.tolerance is not None and not args.tolerance > 0.0:
             raise ConfigError("--tolerance must be > 0")
         cfg = load_config(args.config, args.command)
-        return COMMANDS[args.command](cfg, args.out, args.seed, args)
+        # the commands refuse an overflow or a nan by their own finiteness
+        # and tolerance checks, so numpy's RuntimeWarnings are only noise
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](cfg, args.out, args.seed, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,96 @@
-"""Published JSON schemas for the CLI run configurations."""
+"""Published JSON schemas for the CLI run configurations, and their validator.
+
+The schemas are JSON Schema (Draft 2020-12; the ``$schema`` keys say so) and
+use only this subset of keywords: ``type`` (object, array, string, number,
+integer), ``properties``, ``required``, ``additionalProperties: false``,
+``items``, ``minItems``/``maxItems``, ``enum``, ``minimum``/``maximum`` and
+``exclusiveMinimum``/``exclusiveMaximum``. ``validate`` checks exactly that
+subset with Draft 2020-12 semantics, so the runtime needs no JSON Schema
+library; the tests hold it to ``jsonschema.Draft202012Validator`` on
+schema-valid and mutated configs for every command.
+"""
+
+import operator
+
+# keyword: (test that fails the value, wording after "<value> is")
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+_KEYWORDS = {"$schema", "type", "properties", "required",
+             "additionalProperties", "items", "minItems", "maxItems", "enum",
+             *_BOUNDS}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# bool is neither number nor integer; an integral float such as 3.0 is an
+# integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+
+
+def validate(value, schema: dict, path: tuple = ()):
+    """Yield a ``(path, message)`` pair for each way ``value`` breaks
+    ``schema``; ``path`` holds the keys and indices down to the offending
+    node. Messages use jsonschema's wording. A node of the wrong type gets
+    that error alone, and every other keyword applies only to the types it
+    constrains: bounds to numbers, item keywords to lists, property
+    keywords to dicts. A keyword outside the subset raises ValueError.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        yield path, f"{value!r} is not of type {kind!r}"
+        return
+    for key, rule in schema.items():
+        if key not in _KEYWORDS or (key == "additionalProperties"
+                                   and rule is not False):
+            raise ValueError(f"unsupported schema keyword {key}: {rule!r}")
+        if key in _BOUNDS:
+            fails, wording = _BOUNDS[key]
+            if _is_number(value) and fails(value, rule):
+                yield path, f"{value!r} is {wording} {rule!r}"
+        elif key == "enum":
+            if value not in rule:  # the enums are strings: == is JSON equality
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from validate(item, rule, (*path, i))
+            elif key == "minItems" and len(value) < rule:
+                short = "should be non-empty" if rule == 1 else "is too short"
+                yield path, f"{value!r} {short}"
+            elif key == "maxItems" and len(value) > rule:
+                long = "is expected to be empty" if rule == 0 else "is too long"
+                yield path, f"{value!r} {long}"
+        elif isinstance(value, dict):
+            if key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from validate(value[name], sub, (*path, name))
+            elif key == "required":
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                extras = sorted(k for k in value if k not in known)
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, ("Additional properties are not allowed "
+                                 f"({names} {verb} unexpected)")
+
 
 _ACTIVATION = {
     "type": "object",

@@ -301,7 +301,8 @@ def counting_slope(entries: list, rank_lo: int = 20, rank_hi: int = 2000,
     mus = mus / mus[0]
     ranks = np.unique(np.geomspace(rank_lo, rank_hi, grid).astype(int))
     lam_grid = np.unique(mus[ranks])
-    lam_grid = lam_grid[lam_grid < 1.0]
+    # a ratio that underflows to 0 has no double log
+    lam_grid = lam_grid[(lam_grid > 0.0) & (lam_grid < 1.0)]
     counts = np.array([np.count_nonzero(mus >= lam) for lam in lam_grid])
     x = np.log(-np.log(lam_grid))  # 1 / lam overflows for subnormal lam
     y = np.log(counts.astype(float))

@@ -99,7 +99,9 @@ def test_reconstruct_overflow_is_numerical_failure(tmp_path, layers):
 
 
 # every finite float is schema-valid: huge coefficients overflow the series
-# arithmetic, which must end in exit 3, not a traceback
+# arithmetic, which must end in exit 3, not a traceback. main runs each
+# command under np.errstate, so the exit-code fuzzers also fail on a numpy
+# RuntimeWarning, which would reach stderr
 _COEFFS = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                    min_size=0, max_size=6)
 _LAYER = st.one_of(
@@ -120,6 +122,7 @@ _TRUNCATION = st.fixed_dictionaries({}, optional={
                        allow_infinity=False)})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(layers=st.lists(_LAYER, min_size=1, max_size=3),
        n=st.integers(1, 3), d=st.integers(2, 4),
@@ -169,6 +172,7 @@ def _exit_code(command, cfg):
     return rc
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(kernel=_KERNEL, k_max=st.integers(1, 8),
        fit_rank_range=st.one_of(st.none(), st.lists(st.integers(1, 60),
@@ -181,6 +185,13 @@ def _exit_code(command, cfg):
                             {"activation": "geometric",
                              "ratio": 3.2906960682567283e-105}],
                  "n": 3, "d": 2}, k_max=2, fit_rank_range=None)
+# eigenvalue ratios that underflow to 0: log(-log(0)) = inf made the
+# counting regression's SVD fail (exit 1)
+@example(kernel={"layers": [{"activation": "poly",
+                             "coeffs": [0.0, 2.225073858507203e-309,
+                                        2128889018566130.0]},
+                            {"activation": "exp"}],
+                 "n": 3, "d": 2}, k_max=3, fit_rank_range=None)
 def test_spectrum_exit_codes_fuzz(kernel, k_max, fit_rank_range):
     cfg = {"kernel": kernel, "k_max": k_max}
     if fit_rank_range is not None:
@@ -189,6 +200,7 @@ def test_spectrum_exit_codes_fuzz(kernel, k_max, fit_rank_range):
                                            EXIT_TOLERANCE)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(kernel=_KERNEL,
        schedule=st.fixed_dictionaries(
@@ -208,6 +220,7 @@ def test_learning_curve_exit_codes_fuzz(kernel, schedule, sizes, test_size,
                                                  EXIT_TOLERANCE)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(kernel=_KERNEL, ell=st.integers(1, 40), top_k=st.integers(1, 10),
        k_max=st.integers(1, 6))
@@ -217,6 +230,7 @@ def test_gram_eig_exit_codes_fuzz(kernel, ell, top_k, k_max):
                                            EXIT_TOLERANCE)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(network=_NETWORK, n=st.integers(1, 3), d=st.integers(2, 4),
        count=st.integers(1, 5))
@@ -261,6 +275,7 @@ def _images(draw):
     return fmt, pixels, maxval, draw(st.integers(0, 3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(images=st.lists(_images(), min_size=1, max_size=2), r=st.integers(2, 6),
        locations=st.one_of(st.none(), st.lists(
@@ -476,12 +491,23 @@ def test_unwritable_output_is_exit_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-def test_validation_errors(tmp_path):
+def test_validation_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kernel": {"layers": [], "n": 1, "d": 3}}')
     rc = main(["spectrum", "--config", str(bad), "--out",
                str(tmp_path / "x.csv")])
     assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {bad}: $.kernel.layers: [] should be non-empty\n")
+    # errors sorted by path: the first is reported
+    bad.write_text('{"kernel": {"layers": [{"activation": "exp"}], "n": 0, '
+                   '"d": 3}, "fit_rank_range": [1, true], "k_max": 2.5}')
+    rc = main(["spectrum", "--config", str(bad), "--out",
+               str(tmp_path / "x.csv")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {bad}: $.fit_rank_range[1]: True is not of type "
+        "'integer'\n")
     bad.write_text('{"kernel": {')
     rc = main(["spectrum", "--config", str(bad), "--out",
                str(tmp_path / "x.csv")])
@@ -491,9 +517,14 @@ def test_validation_errors(tmp_path):
     assert rc == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("literal", [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+    pytest.param("1" + "0" * 400, id="400-digit-integer"),
+    # past Python's 4300-digit limit, int() raises ValueError
+    pytest.param("1" + "0" * 5000, id="5001-digit-integer")])
 def test_non_finite_json_literal_is_config_error(tmp_path, literal):
-    # Python's json parses these; as mu_exp they made lambda inf or nan
+    # Python's json parses these (a literal past the double range to inf or
+    # an int no double holds); as mu_exp they made lambda inf or nan
     cfg_path = tmp_path / "lc.json"
     cfg_path.write_text(
         '{"kernel": {"layers": [{"activation": "exp"}], "n": 1, "d": 2}, '
@@ -534,6 +565,20 @@ def test_poly_layer_without_coeffs_is_config_error(tmp_path):
            "k_max": 4}
     rc, out = run(tmp_path, "spectrum", cfg)
     assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_cnn_label_non_finite_labels_exit_3(tmp_path):
+    # the first layer's polynomial overflows, so the labels are inf or nan,
+    # which JSON cannot hold: no output, exit 3
+    cfg = {"n": 2, "d": 3, "count": 3,
+           "network": {"filters": [2, 1], "patch_sizes": [2],
+                       "activations": [{"activation": "custom",
+                                        "coeffs": [1e200, 1e200, 1e200]},
+                                       {"activation": "exp"}],
+                       "weight_scale": 1e300}}
+    rc, out = run(tmp_path, "cnn-label", cfg, name="labels.jsonl")
+    assert rc == EXIT_TOLERANCE
     assert not out.exists()
 
 
@@ -594,8 +639,9 @@ ERF_NETWORK = {"filters": [2, 1], "patch_sizes": [2], "boundary": "valid",
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # the runtime is numpy and jsonschema: no command, including the
-    # Cholesky, eigvalsh and erf activation paths, loads any scipy module
+    # the runtime is numpy alone: no command, including the Cholesky,
+    # eigvalsh and erf activation paths, loads any scipy module, and config
+    # validation loads no jsonschema (nor its referencing, rpds and attrs)
     configs = {
         "spectrum": {"kernel": KERNEL_EI, "k_max": 6},
         "reconstruct": {"kernel": {**KERNEL_EI, "n": 2}, "k_max": 6,
@@ -613,8 +659,8 @@ def test_no_command_loads_scipy(tmp_path):
     }
     lines = ["import sys",
              "import harmonica.cli as cli",
-             "loaded = lambda: sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy')"]
+             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0]"
+             " in ('scipy', 'jsonschema', 'referencing', 'rpds', 'attrs'))"]
     for command, cfg in configs.items():
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(cfg))
