@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedActivationError
-from .taylor import CoeffSeries, DEFAULT_ORDER, exp_series, series_from
+from .taylor import (CoeffSeries, DEFAULT_ORDER, exp_series, geometric_series,
+                     identity_series, series_from)
 
 KINDS = ("exp", "square", "poly", "erf_sigmoid", "smooth_hinge", "custom",
          "identity", "geometric")
@@ -51,16 +52,6 @@ class ActivationSpec:
             object.__setattr__(self, "coeffs", c)
         if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
             raise ValueError("geometric activation needs ratio in (0, 1)")
-
-    @property
-    def universal_part(self) -> bool:
-        """True when all derivatives at 0 are nonzero, the hypothesis under
-        which the kernel is universal; recorded, never enforced."""
-        if self.kind in ("exp", "geometric"):
-            return True
-        if self.kind in ("poly", "custom"):
-            return False  # finite coefficient list always has zeros
-        return False  # square / erf_sigmoid / smooth_hinge / identity have gaps
 
 
 def activation(kind: str, coeffs=None, ratio=None) -> ActivationSpec:
@@ -102,11 +93,11 @@ def taylor_coeffs(spec: ActivationSpec, order: int) -> CoeffSeries:
     if spec.kind == "square":
         return series_from([0.0, 0.0, 1.0], order=max(order, 2))
     if spec.kind == "identity":
-        return series_from([0.0, 1.0], order=max(order, 1))
+        return identity_series(order)
     if spec.kind in ("poly", "custom"):
         return series_from(spec.coeffs, order=max(order, len(spec.coeffs) - 1))
     if spec.kind == "geometric":
-        return series_from([spec.ratio ** m for m in range(order + 1)])
+        return geometric_series(spec.ratio, order)
     if spec.kind == "erf_sigmoid":
         return series_from(_erf_sigmoid_coeffs(order))
     if spec.kind == "smooth_hinge":

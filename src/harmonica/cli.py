@@ -156,6 +156,14 @@ def _table_for(spec: KernelSpec, k_max: int):
     if a_needed > spec.trunc.a_max:
         raise ConfigError(
             f"outer degree {a_needed} exceeds configured A_max={spec.trunc.a_max}")
+    if k_max > spec.f1.order:
+        raise ConfigError(
+            f"spectral degree {k_max} exceeds the f1 coefficient order "
+            f"{spec.f1.order}; raise truncation.order")
+    if spec.D != math.inf and spec.D > spec.g.order:
+        raise ConfigError(
+            f"outer degree {spec.D:.0f} exceeds the stored expansion "
+            f"(Q_max={spec.g.order}); raise truncation.Q_max")
     return lambda_table(spec.f1, spec.d, k_max, a_needed,
                         s_tol=spec.trunc.s_tol)
 

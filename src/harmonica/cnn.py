@@ -11,7 +11,6 @@ target functions; there is no training here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -145,10 +144,6 @@ def forward(params: NetworkParams, activations: list, xs) -> np.ndarray:
     return state @ params.w_out
 
 
-def identity_pooling(n: int) -> np.ndarray:
-    return np.eye(n)
-
-
 def gaussian_pooling(n: int, width: float = 1.0) -> np.ndarray:
     """Row-normalized local averaging with weights decaying in |i - j|."""
     idx = np.arange(n)
@@ -181,47 +176,9 @@ def random_params(n: int, d: int, filters, patch_sizes=(), seed=0,
                / math.sqrt(d_sizes[k] * p_sizes[k])
                for k in range(N)]
     w_out = rng.standard_normal(n_sizes[-1] * p_sizes[-1])
-    make_pool = identity_pooling if pooling == "identity" else gaussian_pooling
+    make_pool = np.eye if pooling == "identity" else gaussian_pooling
     poolings = [make_pool(n_sizes[k]) for k in range(N)]
     return NetworkParams(tuple(d_sizes), tuple(p_sizes), tuple(n_sizes),
                          tuple(weights), tuple(poolings), w_out,
                          boundary=boundary)
-
-
-def params_to_dict(params: NetworkParams) -> dict:
-    return {
-        "d_sizes": list(params.d_sizes),
-        "p_sizes": list(params.p_sizes),
-        "n_sizes": list(params.n_sizes),
-        "boundary": params.boundary,
-        "weights": [w.reshape(-1).tolist() for w in params.weights],
-        "poolings": [g.reshape(-1).tolist() for g in params.poolings],
-        "w_out": params.w_out.tolist(),
-    }
-
-
-def params_from_dict(doc: dict) -> NetworkParams:
-    d_sizes = tuple(doc["d_sizes"])
-    p_sizes = tuple(doc["p_sizes"])
-    n_sizes = tuple(doc["n_sizes"])
-    N = len(d_sizes)
-    weights = tuple(
-        np.asarray(doc["weights"][k], dtype=float).reshape(
-            p_sizes[k + 1], d_sizes[k] * p_sizes[k])
-        for k in range(N))
-    poolings = tuple(
-        np.asarray(doc["poolings"][k], dtype=float).reshape(
-            n_sizes[k], n_sizes[k])
-        for k in range(N))
-    return NetworkParams(d_sizes, p_sizes, n_sizes, weights, poolings,
-                         np.asarray(doc["w_out"], dtype=float),
-                         boundary=doc.get("boundary", "circular"))
-
-
-def params_to_json(params: NetworkParams) -> str:
-    return json.dumps(params_to_dict(params), sort_keys=True)
-
-
-def params_from_json(text: str) -> NetworkParams:
-    return params_from_dict(json.loads(text))
 

@@ -36,21 +36,13 @@ def sphere_surface(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def zonal_poly(k: int, d: int, t: float) -> float:
-    """Normalized ultraspherical polynomial P_{k,d}(t), P_{k,d}(1) = 1.
+def zonal_poly_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
+    """P_{k,d}(t) for all k <= k_max; shape (k_max+1, len(t)).
 
     Three-term recurrence
         (k + d - 3) P_k = (2k + d - 4) t P_{k-1} - (k - 1) P_{k-2}
     with P_0 = 1, P_1 = t.
     """
-    if abs(t) > 1.0 + 1e-12:
-        raise ValueError(f"zonal argument {t} outside [-1, 1]")
-    t = min(1.0, max(-1.0, t))
-    return float(zonal_poly_table(k, d, np.asarray([t]))[k, 0])
-
-
-def zonal_poly_table(k_max: int, d: int, t: np.ndarray) -> np.ndarray:
-    """P_{k,d}(t) for all k <= k_max; shape (k_max+1, len(t))."""
     if k_max < 0 or d < 2:
         raise ValueError("need k_max >= 0 and d >= 2")
     t = np.asarray(t, dtype=float)
@@ -75,12 +67,6 @@ def zonal_features(k_max: int, d: int, t) -> np.ndarray:
     P = zonal_poly_table(k_max, d, t.reshape(-1)).reshape(k_max + 1, *t.shape)
     dims = np.array([harmonic_dim(k, d) for k in range(k_max + 1)], dtype=float)
     return (dims / sphere_surface(d)).reshape(-1, *(1,) * t.ndim) * P
-
-
-def zonal_pair_sum(k: int, d: int, x: np.ndarray, y: np.ndarray) -> float:
-    """Addition-theorem aggregate sum_l Y_k^l(x) Y_k^l(y)
-    = (alpha_{k,d} / |S^{d-1}|) P_{k,d}(<x, y>)."""
-    return float(zonal_features(k, d, np.dot(x, y))[k])
 
 
 @lru_cache(maxsize=256)
@@ -180,10 +166,3 @@ def funk_hecke_eigenvalue(g: CoeffSeries, k: int, d: int,
     log_c = math.lgamma(a + 1.0) - k * math.log(2.0) - math.lgamma(k + a + 1.0)
     return sphere_surface(d - 1) * math.exp(log_c) * v2
 
-
-def zonal_orthogonality_error(k: int, kp: int, d: int) -> float:
-    """Weighted inner product of P_{k,d} and P_{k',d}; ~0 for k != k'."""
-    n = (k + kp) // 2 + 6
-    t, w = _jacobi_nodes(n, (d - 3) / 2.0)
-    tab = zonal_poly_table(max(k, kp), d, t)
-    return float(np.dot(w, tab[k] * tab[kp]))

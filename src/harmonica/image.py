@@ -59,14 +59,6 @@ class PatchConfig:
             raise ValueError("need at least one extraction location")
         object.__setattr__(self, "locations", locs)
 
-    @property
-    def d(self) -> int:
-        return self.r * self.r
-
-    @property
-    def n(self) -> int:
-        return len(self.locations)
-
     def validate_for(self, img: Image) -> None:
         for (i, j) in self.locations:
             if not (1 <= i <= img.h - self.r + 1 and 1 <= j <= img.w - self.r + 1):
@@ -157,41 +149,35 @@ def load_image_text(path) -> Image:
     return Image(data)
 
 
-def save_image_text(img: Image, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{img.h} {img.w}\n")
-        for row in img.pixels:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def load_image_pgm(path) -> Image:
     """P2 (ascii) or P5 (binary) single-channel portable graymap."""
     with open(path, "rb") as fh:
         raw = fh.read()
     tokens = _pgm_tokens(raw)
 
-    def take() -> bytes:
+    def take() -> tuple:
         tok = next(tokens, None)
         if tok is None:
             raise StructuralError(f"{path}: graymap ends early")
         return tok
 
-    magic = take()
+    magic, _ = take()
     if magic not in (b"P2", b"P5"):
         raise StructuralError(f"{path}: not a P2/P5 graymap")
-    w = int(take())
-    h = int(take())
-    maxval = int(take())
+    w = int(take()[0])
+    h = int(take()[0])
+    token, end = take()
+    maxval = int(token)
     if maxval <= 0:
         raise StructuralError(f"{path}: bad maxval {maxval}")
     if magic == b"P2":
-        vals = [int(take()) for _ in range(h * w)]
+        vals = [int(take()[0]) for _ in range(h * w)]
         data = np.asarray(vals, dtype=float).reshape(h, w)
     else:
-        offset = _pgm_binary_offset(raw)
-        width = 1 if maxval < 256 else 2
-        dt = np.dtype(">u1") if width == 1 else np.dtype(">u2")
-        flat = np.frombuffer(raw, dtype=dt, count=h * w, offset=offset)
+        # the binary payload starts after exactly one whitespace byte past
+        # maxval, whatever the payload's own first bytes are
+        dt = np.dtype(">u1") if maxval < 256 else np.dtype(">u2")
+        flat = np.frombuffer(raw, dtype=dt, count=h * w, offset=end + 1)
         data = flat.astype(float).reshape(h, w)
     return Image(data)
 
@@ -204,6 +190,8 @@ def load_image(path) -> Image:
 
 
 def _pgm_tokens(raw: bytes):
+    """Yield (token, end) for each whitespace-separated header token, end
+    being the index just past it; a '#' starts a comment to end of line."""
     i = 0
     n = len(raw)
     while i < n:
@@ -217,22 +205,5 @@ def _pgm_tokens(raw: bytes):
             j = i
             while j < n and raw[j:j + 1] not in b" \t\r\n":
                 j += 1
-            yield raw[i:j]
+            yield raw[i:j], j
             i = j
-
-
-def _pgm_binary_offset(raw: bytes) -> int:
-    # binary payload starts after exactly one whitespace byte past maxval
-    seen = 0
-    i = 0
-    while seen < 4:
-        while raw[i:i + 1] in b" \t\r\n":
-            i += 1
-        if raw[i:i + 1] == b"#":
-            while raw[i:i + 1] != b"\n":
-                i += 1
-            continue
-        while raw[i:i + 1] not in b" \t\r\n":
-            i += 1
-        seen += 1
-    return i + 1

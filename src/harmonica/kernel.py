@@ -28,7 +28,7 @@ import numpy as np
 from .activations import ActivationSpec, majorant_series
 from .errors import StructuralError
 from .taylor import (CoeffSeries, DEFAULT_L_MAX, compose, eval_series,
-                     identity_series, series_from)
+                     identity_series)
 
 log = logging.getLogger(__name__)
 
@@ -65,12 +65,13 @@ class TruncationConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TruncationConfig":
-        return cls(k_max=int(doc.get("K_max", 20)),
-                   a_max=int(doc.get("A_max", 16)),
-                   q_max=int(doc.get("Q_max", 64)),
-                   s_tol=float(doc.get("s_tol", 1e-12)),
-                   series_order=int(doc.get("order", 64)),
-                   l_max=int(doc.get("L_max", DEFAULT_L_MAX)))
+        """From a config's ``truncation`` object; a missing key keeps the
+        default, and a given value takes its default's type (the schema
+        accepts 3.0 as an integer)."""
+        fields = {"K_max": "k_max", "A_max": "a_max", "Q_max": "q_max",
+                  "s_tol": "s_tol", "order": "series_order", "L_max": "l_max"}
+        return cls(**{f: type(getattr(cls, f))(doc[key])
+                      for key, f in fields.items() if key in doc})
 
 
 @dataclass(frozen=True)
@@ -245,11 +246,3 @@ def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
     _fill_tiles(spec, a, b, G, upper=False)
     return G
 
-
-def constant_kernel(value: float, n: int, d: int,
-                    trunc: TruncationConfig | None = None) -> KernelSpec:
-    """K identically ``value``; used by rank-one sanity checks."""
-    trunc = trunc or TruncationConfig()
-    f1 = series_from([0.0, 1.0], order=trunc.series_order, nonneg=True)
-    g = series_from([float(value)], order=trunc.q_max, nonneg=True)
-    return KernelSpec(f1=f1, g=g, n=n, d=d, D=0.0, trunc=trunc)

@@ -62,7 +62,8 @@ from .errors import SolverError
 from .harmonics import sphere_surface, zonal_features, zonal_poly_table
 from .image import sample_uniform_batch
 from .kernel import KernelSpec, cross_gram, gram
-from .spectrum import LambdaTable, canonical_profile, mu_eigenvalue
+from .spectrum import (LambdaTable, canonical_profile, expand_spectrum,
+                       mu_eigenvalue)
 
 log = logging.getLogger(__name__)
 
@@ -347,14 +348,6 @@ def mse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean((pred - truth) ** 2))
 
 
-def rls_objective(spec: KernelSpec, data: Dataset, fit: FitResult) -> float:
-    """(1/l) sum residual^2 + lambda c^T G c at the fitted coefficients."""
-    G = gram(spec, data.xs)
-    resid = data.ys - G @ fit.coeffs
-    return float(np.mean(resid ** 2)
-                 + fit.lam * fit.coeffs @ G @ fit.coeffs)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Source-condition exponent beta in (0, 2]; mu_exp only for beta = 1."""
@@ -410,7 +403,6 @@ def nystrom_eigs(spec: KernelSpec, ell: int, top_k: int, seed) -> np.ndarray:
 def closed_form_top_eigs(spec: KernelSpec, table: LambdaTable, entries: list,
                          top_k: int) -> np.ndarray:
     """kappa^n-scaled leading eigenvalues from an enumerated spectrum."""
-    from .spectrum import expand_spectrum
     return expand_spectrum(entries, limit=top_k) * table.kappa ** spec.n
 
 

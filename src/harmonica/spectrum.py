@@ -272,13 +272,6 @@ def enumerate_spectrum(spec: KernelSpec, table: LambdaTable,
     return entries
 
 
-def counting_function(entries: list, lam: float) -> int:
-    """Number of eigenvalues >= lam, counted with multiplicity."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    return sum(e.multiplicity for e in entries if e.mu >= lam)
-
-
 def expand_spectrum(entries: list, limit: int | None = None) -> np.ndarray:
     """Non-increasing eigenvalue sequence with multiplicities unrolled."""
     mus = np.repeat([e.mu for e in entries],

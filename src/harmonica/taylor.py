@@ -57,17 +57,11 @@ class CoeffSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, m: int) -> float:
-        return self.coeffs[m]
-
     def asarray(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
 
     def truncated(self, order: int) -> "CoeffSeries":
-        _check_order(order)
-        c = self.coeffs[: order + 1]
-        c = c + (0.0,) * (order + 1 - len(c))
-        return CoeffSeries(c, nonneg=self.nonneg)
+        return series_from(self.coeffs, order=order, nonneg=self.nonneg)
 
     def degree(self) -> int | None:
         """Index of the last nonzero coefficient, or None for the zero series."""
@@ -137,39 +131,28 @@ def cauchy_product(a: CoeffSeries, b: CoeffSeries, order: int) -> CoeffSeries:
 
 
 def power(a: CoeffSeries, alpha: int, order: int) -> CoeffSeries:
-    """Coefficients of a(x)**alpha truncated at ``order``.
-
-    Iterated left-fold products (not binary squaring) so that
-    power(a, i+j) agrees with cauchy_product(power(a, i), power(a, j))
-    coefficient-for-coefficient.
-    """
+    """Coefficients of a(x)**alpha truncated at ``order``: the alpha entry
+    of a fresh ``power_table``."""
     if alpha < 0:
         raise ValueError("alpha must be a nonnegative integer")
-    _check_order(order)
-    if alpha == 1:
-        # multiplying by [1, 0, ...] reproduces a exactly; skip the O(order^2) pass
-        return a.truncated(order)
-    out = series_from([1.0], order=order, nonneg=True)
-    for _ in range(alpha):
-        out = cauchy_product(out, a, order)
-    return out
+    return power_table(a, order)(alpha)
 
 
 def power_table(a: CoeffSeries, order: int) -> Callable[[int], CoeffSeries]:
     """Memoized l -> a**l table, one left-fold product per new l.
 
-    Entries are bitwise equal to power(a, l, order). The l = 1 entry is
-    seeded like power's: cauchy_product(1, a) reproduces a exactly, so the
-    O(order^2) product is skipped.
+    Iterated left-fold products (not binary squaring), so that a**(i+j)
+    agrees with cauchy_product(a**i, a**j) coefficient-for-coefficient. The
+    l = 1 entry is a itself: cauchy_product(1, a) reproduces a exactly, so
+    the O(order^2) product is skipped.
     """
     cache: dict[int, CoeffSeries] = {
         0: series_from([1.0], order=order, nonneg=True),
         1: a.truncated(order)}
 
     def table(l: int) -> CoeffSeries:
-        if l not in cache:
-            prev = table(l - 1)
-            cache[l] = cauchy_product(prev, a, order)
+        for j in range(len(cache), l + 1):
+            cache[j] = cauchy_product(cache[j - 1], a, order)
         return cache[l]
 
     return table

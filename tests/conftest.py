@@ -1,8 +1,9 @@
 """Shared oracles used across test modules.
 
 These deliberately avoid the library code paths they check: convolution by
-explicit double loop, derivatives by central finite differences, the Mercer
-sum profile by profile with scalar zonal polynomials.
+explicit double loop, derivatives by central finite differences, zonal
+polynomials from scipy's Chebyshev and Gegenbauer polynomials, and the
+Mercer sum profile by profile with those scalar zonal polynomials.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from harmonica.harmonics import harmonic_dim, sphere_surface, zonal_poly
+from harmonica.harmonics import harmonic_dim, sphere_surface
 from harmonica.spectrum import mu_eigenvalue
 
 # HYPOTHESIS_PROFILE=ci (set by the CI workflow) runs the same examples on
@@ -39,10 +40,23 @@ def brute_force_power(a, alpha, order):
     return out
 
 
+def zonal_oracle(k, d, t):
+    """P_{k,d}(t) normalized to P_{k,d}(1) = 1, from scipy: Chebyshev T_k
+    on the circle, else the Gegenbauer C_k^{(d-2)/2} over its value at 1.
+    Independent of the recurrence in harmonics.zonal_poly_table. scipy is
+    imported here so that only the tests using this oracle need it."""
+    from scipy.special import eval_chebyt, eval_gegenbauer
+
+    if d == 2:
+        return eval_chebyt(k, t)
+    alpha = (d - 2) / 2
+    return eval_gegenbauer(k, alpha, t) / eval_gegenbauer(k, alpha, 1.0)
+
+
 def scalar_zonal_feature(k, d, x, y):
-    """(N(d,k) / |S^{d-1}|) P_{k,d}(<x, y>) from the scalar zonal_poly."""
+    """(N(d,k) / |S^{d-1}|) P_{k,d}(<x, y>) from the scalar zonal_oracle."""
     t = min(1.0, max(-1.0, float(np.dot(x, y))))
-    return harmonic_dim(k, d) / sphere_surface(d) * zonal_poly(k, d, t)
+    return harmonic_dim(k, d) / sphere_surface(d) * float(zonal_oracle(k, d, t))
 
 
 def brute_force_mercer(spec, table, k_max, x, y):

@@ -1,0 +1,41 @@
+"""Test-only oracles and fixtures, built from library functions, that no
+harmonica command needs."""
+
+import numpy as np
+
+from harmonica.harmonics import _jacobi_nodes, zonal_poly_table
+from harmonica.kernel import KernelSpec, TruncationConfig, gram
+from harmonica.taylor import series_from
+
+
+def rls_objective(spec, data, fit) -> float:
+    """(1/l) sum residual^2 + lambda c^T G c at the fitted coefficients."""
+    G = gram(spec, data.xs)
+    resid = data.ys - G @ fit.coeffs
+    return float(np.mean(resid ** 2)
+                 + fit.lam * fit.coeffs @ G @ fit.coeffs)
+
+
+def constant_kernel(value: float, n: int, d: int,
+                    trunc: TruncationConfig | None = None) -> KernelSpec:
+    """K identically ``value``; used by rank-one sanity checks."""
+    trunc = trunc or TruncationConfig()
+    f1 = series_from([0.0, 1.0], order=trunc.series_order, nonneg=True)
+    g = series_from([float(value)], order=trunc.q_max, nonneg=True)
+    return KernelSpec(f1=f1, g=g, n=n, d=d, D=0.0, trunc=trunc)
+
+
+def zonal_orthogonality_error(k: int, kp: int, d: int) -> float:
+    """Weighted inner product of P_{k,d} and P_{k',d}; ~0 for k != k'."""
+    n = (k + kp) // 2 + 6
+    t, w = _jacobi_nodes(n, (d - 3) / 2.0)
+    tab = zonal_poly_table(max(k, kp), d, t)
+    return float(np.dot(w, tab[k] * tab[kp]))
+
+
+def save_image_text(img, path) -> None:
+    """Write an Image in the plain-text format load_image_text reads."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{img.h} {img.w}\n")
+        for row in img.pixels:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

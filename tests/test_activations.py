@@ -155,7 +155,3 @@ def test_unknown_kind_rejected():
     with pytest.raises(UnsupportedActivationError):
         ActivationSpec("relu")
 
-
-def test_universality_marker():
-    assert activation("exp").universal_part
-    assert not activation("square").universal_part

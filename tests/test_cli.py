@@ -536,7 +536,7 @@ def test_non_finite_json_literal_is_config_error(tmp_path, literal):
     assert not out.exists()
 
 
-def test_config_a_max_guard(tmp_path):
+def test_config_a_max_guard(tmp_path, capsys):
     # outer polynomial degree above A_max must fail loudly
     cfg = {"kernel": {"layers": [{"activation": "exp"},
                                  {"activation": "poly",
@@ -546,6 +546,36 @@ def test_config_a_max_guard(tmp_path):
            "k_max": 4}
     rc, _ = run(tmp_path, "spectrum", cfg)
     assert rc == EXIT_CONFIG
+    # so must a degree cutoff past the f1 coefficients, or a polynomial
+    # outer degree past the stored g expansion, on every command that
+    # builds a lambda table; the message names the key to raise
+    t40 = {"layers": [{"activation": "exp"},
+                      {"activation": "poly", "coeffs": [0.0] * 40 + [1.0]}],
+           "n": 1, "d": 3,
+           "truncation": {"A_max": 48, "Q_max": 32, "order": 200}}
+    source = {"type": "source", "profiles": [{"degrees": [70]}]}
+    cases = [
+        ("spectrum", {"kernel": KERNEL_EI, "k_max": 65}, (), "order"),
+        ("spectrum", {"kernel": KERNEL_EI, "k_max": 4}, ("--kmax", "70"),
+         "order"),
+        ("reconstruct", {"kernel": KERNEL_EI, "k_max": 65, "pairs": 2}, (),
+         "order"),
+        ("gram-eig", {"kernel": KERNEL_EI, "k_max": 65, "ell": 20,
+                      "top_k": 2}, (), "order"),
+        ("learning-curve", {"kernel": KERNEL_EI, "schedule": {"beta": 2.0},
+                            "sizes": [8], "test_size": 4, "target": source},
+         (), "order"),
+        ("spectrum", {"kernel": t40, "k_max": 4}, (), "Q_max"),
+        ("reconstruct", {"kernel": t40, "k_max": 4, "pairs": 2}, (), "Q_max"),
+        ("gram-eig", {"kernel": t40, "k_max": 4, "ell": 20, "top_k": 2}, (),
+         "Q_max")]
+    for i, (command, cfg, extra, key) in enumerate(cases):
+        capsys.readouterr()
+        rc, out = run(tmp_path, command, cfg, name=f"{i}.csv", extra=extra)
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, (command, cfg, extra, err)
+        assert f"truncation.{key}" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [("--kmax", "0"), ("--kmax", "-2"),

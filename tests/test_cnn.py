@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from harmonica.activations import KINDS, activation, evaluate
-from harmonica.cnn import (NetworkParams, forward, gaussian_pooling,
-                           identity_pooling, params_from_json, params_to_json,
-                           random_params)
+from harmonica.cnn import NetworkParams, forward, gaussian_pooling, random_params
 from harmonica.errors import StructuralError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import build_kernel
@@ -21,7 +19,7 @@ def two_layer_params(w1, w2, w_out):
     return NetworkParams(
         d_sizes=(2, 2), p_sizes=(1, 1, 1), n_sizes=(2, 1),
         weights=(W1, W2),
-        poolings=(identity_pooling(2), identity_pooling(1)),
+        poolings=(np.eye(2), np.eye(1)),
         w_out=np.asarray(w_out, dtype=float), boundary="valid")
 
 
@@ -122,22 +120,13 @@ def test_boundary_modes():
 def test_shape_validation():
     with pytest.raises(StructuralError):
         NetworkParams((2,), (1, 1), (2,), (np.zeros((1, 3)),),
-                      (identity_pooling(2),), np.zeros(2))
+                      (np.eye(2),), np.zeros(2))
 
 
 def test_gaussian_pooling_rows_normalized():
     g = gaussian_pooling(6, width=1.5)
     np.testing.assert_allclose(g.sum(axis=1), 1.0)
     assert g[0, 5] < g[0, 1]
-
-
-def test_json_roundtrip():
-    params = random_params(3, 4, filters=[2, 1], patch_sizes=[2], seed=3,
-                           pooling="gaussian")
-    back = params_from_json(params_to_json(params))
-    xs = sample_uniform_batch(3, 3, 4, 0)
-    acts = [activation("exp"), activation("square")]
-    assert np.array_equal(forward(back, acts, xs), forward(params, acts, xs))
 
 
 def test_labels_bounded_by_weight_norms():

@@ -8,10 +8,13 @@ from scipy.special import gammaln, roots_jacobi
 from harmonica.activations import activation, majorant_series
 from harmonica.harmonics import (_derivative_coeffs, _jacobi_nodes,
                                  funk_hecke_eigenvalue, harmonic_dim,
-                                 sphere_surface, zonal_orthogonality_error,
-                                 zonal_pair_sum, zonal_poly, zonal_poly_table)
+                                 sphere_surface, zonal_features,
+                                 zonal_poly_table)
 from harmonica.image import sample_uniform
 from harmonica.taylor import exp_series, geometric_series, series_from
+
+from conftest import zonal_oracle
+from helpers import zonal_orthogonality_error
 
 
 def test_harmonic_dim_values():
@@ -37,15 +40,30 @@ def test_sphere_surface():
     assert sphere_surface(1) == pytest.approx(2.0)
 
 
+def _recurrence_value(k, d, t):
+    return float(zonal_poly_table(k, d, np.asarray([t]))[k, 0])
+
+
 def test_zonal_poly_normalization_and_values():
-    for d in (2, 3, 5):
-        assert zonal_poly(0, d, 0.3) == 1.0
-        assert zonal_poly(2, d, 1.0) == pytest.approx(1.0)
-    # Legendre P2(t) = (3t^2 - 1)/2 on S^2
-    assert zonal_poly(2, 3, 0.0) == pytest.approx(-0.5)
-    # Chebyshev on the circle: P_k(cos a) = cos(k a)
-    for k in range(6):
-        assert zonal_poly(k, 2, math.cos(0.7)) == pytest.approx(math.cos(k * 0.7))
+    # the library's recurrence and the scipy oracle the other tests use
+    for zonal in (_recurrence_value, zonal_oracle):
+        for d in (2, 3, 5):
+            assert zonal(0, d, 0.3) == 1.0
+            assert zonal(2, d, 1.0) == pytest.approx(1.0)
+        # Legendre P2(t) = (3t^2 - 1)/2 on S^2
+        assert zonal(2, 3, 0.0) == pytest.approx(-0.5)
+        # Chebyshev on the circle: P_k(cos a) = cos(k a)
+        for k in range(6):
+            assert zonal(k, 2, math.cos(0.7)) == pytest.approx(
+                math.cos(k * 0.7))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+def test_zonal_poly_table_matches_scipy_oracle(d):
+    t = np.linspace(-1.0, 1.0, 201)
+    want = np.array([zonal_oracle(k, d, t) for k in range(25)])
+    np.testing.assert_allclose(zonal_poly_table(24, d, t), want,
+                               rtol=0.0, atol=1e-13)
 
 
 def test_zonal_poly_bounded(rng):
@@ -53,11 +71,6 @@ def test_zonal_poly_bounded(rng):
     for d in (2, 3, 4, 6):
         tab = zonal_poly_table(15, d, t)
         assert np.max(np.abs(tab)) <= 1.0 + 1e-12
-
-
-def test_zonal_poly_domain_error():
-    with pytest.raises(ValueError):
-        zonal_poly(3, 3, 1.5)
 
 
 def test_zonal_orthogonality():
@@ -68,10 +81,13 @@ def test_zonal_orthogonality():
 
 
 def test_zonal_pair_sum_values():
+    # the addition-theorem aggregate sum_l Y_k^l(x) Y_k^l(y) at <x, y>
     x = sample_uniform(1, 3, 0)[0]
     y = sample_uniform(1, 3, 1)[0]
-    assert zonal_pair_sum(0, 3, x, y) == pytest.approx(1.0 / (4 * math.pi))
-    assert zonal_pair_sum(1, 3, x, x) == pytest.approx(3.0 / (4 * math.pi))
+    assert zonal_features(0, 3, np.dot(x, y))[0] == pytest.approx(
+        1.0 / (4 * math.pi))
+    assert zonal_features(1, 3, np.dot(x, x))[1] == pytest.approx(
+        3.0 / (4 * math.pi))
 
 
 def test_zonal_pair_sum_reproducing_monte_carlo():
@@ -91,8 +107,8 @@ def test_zonal_pair_sum_reproducing_monte_carlo():
         for kp in (1, 2, 3):
             zz = dims[kp] / surf * tab_z[kp]
             integral = surf * np.mean(zx * zz)
-            want = zonal_pair_sum(k, d, x, z) if k == kp else 0.0
-            scale = zonal_pair_sum(k, d, x, x)
+            want = zonal_features(k, d, np.dot(x, z))[k] if k == kp else 0.0
+            scale = zonal_features(k, d, np.dot(x, x))[k]
             assert integral == pytest.approx(want, abs=0.05 * scale)
 
 

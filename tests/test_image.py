@@ -5,8 +5,9 @@ from harmonica.errors import DegeneratePatchError, StructuralError
 from harmonica.image import (NORM_TOL, Image, PatchConfig, extract_patches,
                              grid_locations, load_image, load_image_pgm,
                              load_image_text, sample_uniform,
-                             sample_uniform_batch, save_image_text,
-                             unit_patches)
+                             sample_uniform_batch, unit_patches)
+
+from helpers import save_image_text
 
 
 def test_extract_all_ones():
@@ -129,6 +130,22 @@ def test_pgm_p2_and_p5(tmp_path):
     p5.write_bytes(b"P5\n3 2\n255\n" + payload)
     img5 = load_image_pgm(p5)
     np.testing.assert_allclose(img5.pixels, img.pixels)
+
+    # the P5 payload starts exactly one whitespace byte past maxval: a
+    # comment between header tokens is skipped, a first pixel byte that
+    # reads as whitespace (0x20, 0x0a) or a comment mark (0x23) is a
+    # pixel, and maxval > 255 means two big-endian bytes per pixel
+    wide = np.array([[0x0A20, 0x0020, 65535], [256, 1, 40000]])
+    cases = [(b"P5 # a comment\n3 # another\n2\n255\n",
+              [0x20, 10, 20, 30, 40, 255]),
+             (b"P5\t3\r\n2 255 ", [0x0A, 0x20, 0x0A, 1, 2, 3]),
+             (b"P5\n3 2\n# last\n255\n", [0x23, 0x20, 0x0A, 1, 2, 3]),
+             (b"P5\n# 16-bit\n3 2\n65535\n", wide)]
+    for header, pixels in cases:
+        pixels = np.reshape(pixels, (2, 3))
+        dt = ">u2" if b"65535" in header else ">u1"
+        p5.write_bytes(header + pixels.astype(dt).tobytes())
+        np.testing.assert_array_equal(load_image_pgm(p5).pixels, pixels)
 
 
 def test_patch_config_validation():

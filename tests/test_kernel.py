@@ -13,9 +13,11 @@ from harmonica import kernel
 from harmonica.activations import activation
 from harmonica.errors import StructuralError
 from harmonica.image import sample_uniform, sample_uniform_batch
-from harmonica.kernel import (TruncationConfig, build_kernel, constant_kernel,
-                              cross_gram, eval_kernel, gram)
+from harmonica.kernel import (TruncationConfig, build_kernel, cross_gram,
+                              eval_kernel, gram)
 from harmonica.taylor import eval_series
+
+from helpers import constant_kernel
 
 
 def test_build_square_outer():

@@ -12,15 +12,15 @@ from harmonica import krr
 from harmonica.activations import activation
 from harmonica.errors import SolverError
 from harmonica.image import sample_uniform, sample_uniform_batch
-from harmonica.kernel import build_kernel, constant_kernel, eval_kernel, gram
+from harmonica.kernel import build_kernel, eval_kernel, gram
 from harmonica.krr import (Dataset, Schedule, SourceTarget,
                            closed_form_top_eigs, learning_curve, mse,
-                           nystrom_eigs, predict, rls_fit, rls_objective,
-                           schedule_lambda)
+                           nystrom_eigs, predict, rls_fit, schedule_lambda)
 from harmonica.spectrum import (canonical_profile, enumerate_spectrum,
                                 lambda_table, mu_eigenvalue)
 
 from conftest import scalar_zonal_feature
+from helpers import constant_kernel, rls_objective
 
 EI = [activation("exp"), activation("identity")]
 

@@ -12,10 +12,10 @@ from harmonica.image import sample_uniform
 from harmonica.kernel import TruncationConfig, build_kernel, eval_kernel
 from harmonica import spectrum
 from harmonica.spectrum import (KAPPA, SpectralExpansion, SpectrumEntry,
-                                canonical_profile, counting_function,
-                                enumerate_spectrum, expand_spectrum, fit_decay,
-                                lambda_table, mu_eigenvalue,
-                                profile_multiplicity, eigenvalue_windows)
+                                canonical_profile, enumerate_spectrum,
+                                expand_spectrum, fit_decay, lambda_table,
+                                mu_eigenvalue, profile_multiplicity,
+                                eigenvalue_windows)
 from harmonica.taylor import (compose, exp_series, geometric_series,
                               power, series_from)
 
@@ -267,21 +267,19 @@ def test_enumerate_spectrum_degree_one():
     assert mus == sorted(mus, reverse=True)
 
 
+def test_expand_spectrum_unrolls_multiplicities():
+    entries = [SpectrumEntry((1, 0), 2.0, 6), SpectrumEntry((0, 0), 1.0, 1),
+               SpectrumEntry((1, 1), 0.5, 9)]
+    assert expand_spectrum(entries).size == 16
+    assert expand_spectrum(entries, limit=7).tolist() == [2.0] * 6 + [1.0]
+
+
 def test_enumerate_prunes_interactions_at_d_star():
     # linear outer: no profile with two nonzero degrees survives
     spec = build_kernel([activation("exp"), activation("identity")], 2, 3)
     tab = lambda_table(spec.f1, 3, 6, spec.q_cap)
     entries = enumerate_spectrum(spec, tab, 6)
     assert all(sum(1 for k in e.profile if k) <= 1 for e in entries)
-
-
-def test_counting_function():
-    entries = [SpectrumEntry((1, 0), 2.0, 6), SpectrumEntry((0, 0), 1.0, 1),
-               SpectrumEntry((1, 1), 0.5, 9)]
-    assert counting_function(entries, 3.0) == 0
-    assert counting_function(entries, 1.0) == 7
-    assert counting_function(entries, 0.1) == 16
-    assert expand_spectrum(entries).size == 16
 
 
 def test_fit_decay_exact_model_recovery():

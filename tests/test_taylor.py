@@ -177,11 +177,15 @@ def test_eval_product_consistency(rng):
        order=st.integers(min_value=0, max_value=30),
        alpha=st.integers(min_value=0, max_value=8))
 def test_power_table_bitwise_equals_power(coeffs, order, alpha):
+    # power and a shared table both give the plain left fold of products
     a = series_from(coeffs, nonneg=True)
-    got = power_table(a, order)(alpha)
-    want = power(a, alpha, order)
-    assert got.coeffs == want.coeffs
-    assert got.nonneg == want.nonneg
+    want = series_from([1.0], order=order, nonneg=True)
+    for _ in range(alpha):
+        want = cauchy_product(want, a, order)
+    table = power_table(a, order)
+    for got in (power(a, alpha, order), table(alpha), table(alpha)):
+        assert got.coeffs == want.coeffs
+        assert got.nonneg == want.nonneg
 
 
 @settings(max_examples=60, deadline=None)
