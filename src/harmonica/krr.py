@@ -7,26 +7,29 @@ derive from (seed, size) pairs so runs reproduce regardless of scheduling.
 Sample batches are (count, n, d) arrays, and a target is a function from
 such a batch to its (count,) labels.
 
-The linear algebra is numpy alone. `cho_factor` is a left-looking blocked
-Cholesky: block column j:k of L is the panel a[j:, j:k] less the product
-of the factor's finished columns, its top block is factored by
-`np.linalg.cholesky` and the rows below it are multiplied by the inverse
-of that block's transpose. Its only ell^2 allocation is L itself (a is
-read, never copied or written; panel scratch is O(ell BLOCK)), so an RLS
-fit holds the Gram and its factor and nothing else of that size. It
-raises `np.linalg.LinAlgError` on a matrix that is not positive definite,
-in whichever block the failure shows (the jitter retry in `rls_fit`
-catches it). At ell = 1600 it agrees with `np.linalg.cholesky` within
-1e-15 of the largest entry. `rls_fit` adds the ridge, and on a retry the
-jitter, to the Gram's own diagonal and writes the saved diagonal back
-before it takes the fitted values G c. numpy has no
-triangular solve, so `cho_solve` runs a blocked forward substitution
-L z = b and then a blocked back substitution L^T x = z: each diagonal block
-of at most BLOCK rows is solved by one `np.linalg.solve`, and each
-off-diagonal update is one matrix-vector product. On well-conditioned SPD
-systems it agrees with a dense `np.linalg.solve` to 1e-12 relative for
-ell up to 1600, including sizes that are not multiples of the block (a
-test holds it there).
+The linear algebra is numpy alone. `cho_factor` is an in-place
+left-looking blocked Cholesky: block column j:k of L is the panel
+a[j:, j:k] less the product of the factor's finished columns, which it
+reads from a's own lower triangle; the panel's top block is factored by
+`np.linalg.cholesky` and only its lower triangle copied back, and the
+rows below it are multiplied by the inverse of that block's transpose.
+L is written over a's lower triangle and a's strict upper triangle is
+never written (panel scratch is O(ell BLOCK)), so an RLS fit holds the
+Gram and nothing else of that size: `rls_fit` mirrors the Gram's upper
+triangle back down after the solve. `cho_factor` raises
+`np.linalg.LinAlgError` on a matrix that is not positive definite, in
+whichever block the failure shows (the jitter retry in `rls_fit` catches
+it). At ell = 1600 it agrees with `np.linalg.cholesky` within 1e-15 of the
+largest entry. `rls_fit` adds the ridge, and on a retry the jitter, to
+the Gram's own diagonal and writes the saved diagonal back before it
+takes the fitted values G c. numpy has no triangular solve, so
+`cho_solve` runs a blocked forward substitution L z = b and then a
+blocked back substitution L^T x = z, reading only L's lower triangle:
+each diagonal block of at most BLOCK rows is solved by one
+`np.linalg.solve`, and each off-diagonal update is one matrix-vector
+product. On well-conditioned SPD systems it agrees with a dense
+`np.linalg.solve` to 1e-12 relative for ell up to 1600, including sizes
+that are not multiples of the block (a test holds it there).
 
 `eigvalsh` reads the top k eigenvalues of a Gram without tridiagonalizing
 all of it: a randomized block Krylov method with Rayleigh-Ritz (Musco and
@@ -61,7 +64,7 @@ from .errors import SolverError
 # this module
 from .harmonics import sphere_surface, zonal_features, zonal_poly_table
 from .image import sample_uniform_batch
-from .kernel import KernelSpec, cross_gram, gram
+from .kernel import KernelSpec, _mirror_upper, cross_gram, gram
 from .spectrum import (LambdaTable, canonical_profile, expand_spectrum,
                        mu_eigenvalue)
 
@@ -76,36 +79,45 @@ KRYLOV_SHARE = 0.25
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of the SPD matrix a (a = L L^T).
+    """Factor the SPD matrix a = L L^T in place; returns a.
 
-    Left-looking, one block column of at most BLOCK columns at a time; a
-    is neither copied nor written, and L is zero above its diagonal. Each
-    panel is built in one preallocated ell x BLOCK scratch array.
+    Left-looking, one block column of at most BLOCK columns at a time.
+    L is written over the lower triangle of a (diagonal included), and a's
+    strict upper triangle is never written, so it still holds the matrix.
+    Each panel is built in one preallocated ell x BLOCK scratch array. On
+    a `np.linalg.LinAlgError` the lower triangle is part matrix, part
+    factor.
     """
     ell = len(a)
-    L = np.zeros((ell, ell))
     scratch = np.empty(ell * min(BLOCK, ell))
+    lower = np.tri(BLOCK, dtype=bool)
     for j in range(0, ell, BLOCK):
         k = min(j + BLOCK, ell)
         panel = scratch[:(ell - j) * (k - j)].reshape(ell - j, k - j)
-        np.matmul(L[j:, :j], L[j:k, :j].T, out=panel)
+        np.matmul(a[j:, :j], a[j:k, :j].T, out=panel)
         np.subtract(a[j:, j:k], panel, out=panel)
         diag = np.linalg.cholesky(panel[:k - j])
-        L[j:k, j:k] = diag
-        np.matmul(panel[k - j:], np.linalg.inv(diag).T, out=L[k:, j:k])
-    return L
+        np.copyto(a[j:k, j:k], diag, where=lower[:k - j, :k - j])
+        np.matmul(panel[k - j:], np.linalg.inv(diag).T, out=a[k:, j:k])
+    return a
 
 
 def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b by blocked forward and back substitution."""
+    """Solve (L L^T) x = b by blocked forward and back substitution.
+
+    Only the lower triangle of L is read, so L may be the array
+    `cho_factor` wrote its factor into.
+    """
     x = np.array(b, dtype=float)
     starts = range(0, L.shape[0], BLOCK)
     for i in starts:  # L z = b, top block first
         j = i + BLOCK
-        x[i:j] = np.linalg.solve(L[i:j, i:j], x[i:j] - L[i:j, :i] @ x[:i])
+        x[i:j] = np.linalg.solve(np.tril(L[i:j, i:j]),
+                                 x[i:j] - L[i:j, :i] @ x[:i])
     for i in reversed(starts):  # L^T x = z, bottom block first
         j = i + BLOCK
-        x[i:j] = np.linalg.solve(L[i:j, i:j].T, x[i:j] - L[j:, i:j].T @ x[j:])
+        x[i:j] = np.linalg.solve(np.tril(L[i:j, i:j]).T,
+                                 x[i:j] - L[j:, i:j].T @ x[j:])
     return x
 
 
@@ -307,9 +319,13 @@ def _bounded_gram(spec: KernelSpec, xs) -> np.ndarray:
 def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
     """Solve (G + lambda l I) c = y by Cholesky, with one jitter retry.
 
-    The ridge and the jitter go onto G's own diagonal; the saved diagonal
-    is written back before the fitted values G c are taken, so they come
-    from the Gram itself, bit for bit.
+    The ridge and the jitter go onto G's own diagonal, and `cho_factor`
+    writes the factor over G's lower triangle. G is exactly symmetric, so
+    its unwritten upper triangle is mirrored back down and the saved
+    diagonal written back before G is used again: for the retry, for the
+    condition number of a failed fit, and for the fitted values G c, which
+    come from the Gram itself, bit for bit. The fit holds one ell x ell
+    array.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
@@ -324,15 +340,19 @@ def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
         jitter = 1e-12 * saved.sum() / ell
         log.info("rls_fit: Cholesky failed at ell=%d; retrying with jitter "
                  "%.3e", ell, jitter)
+        _mirror_upper(G)
+        G[diag] = saved + lam * ell
         G[diag] += jitter
         try:
             c = cho_solve(cho_factor(G), data.ys)
         except np.linalg.LinAlgError as exc:
+            _mirror_upper(G)
             G[diag] = saved + lam * ell  # the unjittered matrix
             cond = float(np.linalg.cond(G))
             raise SolverError(
                 f"Gram factorization failed even with jitter {jitter:.3e} "
                 f"(cond ~ {cond:.3e})", condition=cond) from exc
+    _mirror_upper(G)
     G[diag] = saved
     return FitResult(coeffs=c, lam=lam, xs=data.xs, fitted=G @ c)
 

@@ -84,16 +84,21 @@ def test_blocked_cho_solve_matches_dense_solve(ell):
     A = X @ X.T / ell + np.eye(ell)
     b = rng.standard_normal(ell)
     b0 = b.copy()
-    A0 = A.tobytes()
+    A0 = A.copy()
+    upper = np.triu_indices(ell, 1)
     L = krr.cho_factor(A)
-    assert A.tobytes() == A0  # the matrix is read, never written
-    assert np.array_equal(L, np.tril(L))
-    ref = np.linalg.cholesky(A)
-    assert np.abs(L - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert L is A  # factored in place
+    # the strict upper triangle is never written
+    assert A[upper].tobytes() == A0[upper].tobytes()
+    ref = np.linalg.cholesky(A0)
+    assert np.abs(np.tril(L) - ref).max() <= 1e-13 * np.abs(ref).max()
     got = krr.cho_solve(L, b)
-    want = np.linalg.solve(A, b)
+    want = np.linalg.solve(A0, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.array_equal(b, b0)  # the right-hand side is not overwritten
+    # only the lower triangle is read: zeros above the diagonal give
+    # bitwise the same solution as the matrix's own upper triangle
+    assert krr.cho_solve(np.tril(L), b).tobytes() == got.tobytes()
 
 
 def test_cho_factor_refuses_indefinite_matrix():
@@ -119,10 +124,10 @@ def test_cho_factor_refuses_failure_in_last_block():
         krr.cho_factor(A)
 
 
-def test_rls_fit_holds_gram_and_factor_only():
-    """One fit allocates the Gram and its Cholesky factor and no third
-    ell x ell array: no shifted copy of the Gram (the ridge goes onto its
-    diagonal) and no copy of the input inside the factorization."""
+def test_rls_fit_holds_gram_only():
+    """One fit allocates the Gram and no second ell x ell array: no
+    shifted copy of the Gram (the ridge goes onto its diagonal) and no
+    separate factor (it is written over the Gram's lower triangle)."""
     ell = 1600
     spec = build_kernel(EI, 1, 3)
     data = Dataset(xs=sample_uniform_batch(ell, 1, 3, 2),
@@ -133,7 +138,7 @@ def test_rls_fit_holds_gram_and_factor_only():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * ell * ell * 8 + 4 * 2 ** 20
+    assert peak <= ell * ell * 8 + 4 * 2 ** 20
 
 
 def test_rls_fitted_values_are_gram_times_coeffs(monkeypatch):
@@ -176,6 +181,60 @@ def _failing_cho_factor(monkeypatch, failures):
 
     monkeypatch.setattr(krr, "cho_factor", cho_factor)
     return calls
+
+
+def _partial_cho_factor(monkeypatch, failures):
+    """Make krr.cho_factor factor its argument in place, as the real one
+    does, and then raise LinAlgError, on its first `failures` calls: the
+    Gram is left part matrix, part factor. Returns the list of matrices
+    it was called with."""
+    real = krr.cho_factor
+    calls = []
+
+    def cho_factor(a):
+        calls.append(np.array(a))
+        L = real(a)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("not positive definite")
+        return L
+
+    monkeypatch.setattr(krr, "cho_factor", cho_factor)
+    return calls
+
+
+def test_rls_retry_after_partial_write_restores_gram(monkeypatch):
+    """A failed factorization has written over the Gram's lower triangle;
+    the retry still sees exactly G + lambda l I + jitter I, and the fitted
+    values are still G c bit for bit."""
+    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
+    ell, lam = 300, 1e-2
+    xs = sample_uniform_batch(ell, 2, 3, 13)
+    data = Dataset(xs=xs, ys=np.random.default_rng(6).standard_normal(ell))
+    G = gram(spec, xs)
+    diag = np.diag_indices(ell)
+    calls = _partial_cho_factor(monkeypatch, failures=1)
+    fit = rls_fit(spec, data, lam)
+    assert len(calls) == 2
+    want = G.copy()
+    want[diag] += lam * ell
+    want[diag] += 1e-12 * G[diag].sum() / ell
+    assert calls[1].tobytes() == want.tobytes()
+    assert fit.fitted.tobytes() == (G @ fit.coeffs).tobytes()
+
+
+def test_rls_solver_error_after_partial_writes(monkeypatch):
+    """Both factorizations write over the Gram before they fail; the
+    condition number is still that of G + lambda l I."""
+    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
+    ell, lam = 300, 1e-2
+    xs = sample_uniform_batch(ell, 2, 3, 13)
+    data = Dataset(xs=xs, ys=np.random.default_rng(6).standard_normal(ell))
+    calls = _partial_cho_factor(monkeypatch, failures=math.inf)
+    with pytest.raises(SolverError) as info:
+        rls_fit(spec, data, lam)
+    assert len(calls) == 2
+    want = np.linalg.cond(gram(spec, xs) + lam * ell * np.eye(ell))
+    assert info.value.condition == pytest.approx(want, rel=1e-12)
 
 
 def test_rls_cholesky_jitter_retry(monkeypatch):
