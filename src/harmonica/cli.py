@@ -3,8 +3,9 @@
 Every command reads a JSON config (validated against the published schemas),
 derives all randomness from --seed, and writes machine-readable output whose
 header carries the config hash and tool version. Exit codes: 0 success,
-2 config validation failure or an output that cannot be written, 3
-numerical tolerance failure.
+2 config validation failure, an output that cannot be written or a
+config that sizes an array past what can be allocated, 3 numerical
+tolerance failure.
 """
 
 from __future__ import annotations
@@ -416,6 +417,10 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # a series, table or tail left double range
         print(f"error: numerical overflow ({exc})", file=sys.stderr)
         return EXIT_TOLERANCE
+    except MemoryError as exc:  # a Gram or sample batch the config sized
+        print(f"config error: the run needs more memory than can be "
+              f"allocated ({exc})", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

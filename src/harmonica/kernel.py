@@ -11,10 +11,14 @@ per-patch inner products come from one matrix product into a scratch tile
 of about TILE_BYTES, the clip, both Horner passes and the patch sum run in
 place in two more such tiles, and the finished tile is written into the
 result once. Peak memory is the result plus three tiles, never an (a, b, n)
-tensor or a whole-matrix temporary. `gram` computes the tiles from the
-diagonal rightward and then copies the strict upper triangle into the
-lower one, so its result is exactly symmetric. The spectral route lives in
-`spectrum` and the two are cross-checked by the Mercer reconstruction tests.
+tensor or a whole-matrix temporary. `gram` computes only the tiles from
+the diagonal rightward and returns a `SymmetricGram`: the upper row
+blocks, packed at the tail of one ell x ell buffer. A product with a block
+of columns reads them alone, so a Krylov eigensolver keeps about half a
+Gram resident; `SymmetricGram.dense` (or ``np.asarray``) unpacks them in
+place and copies the strict upper triangle into the lower one, so the
+dense Gram is exactly symmetric. The spectral route lives in `spectrum`
+and the two are cross-checked by the Mercer reconstruction tests.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ TILE_BYTES = 128 * 1024
 # the whole-matrix product, which makes the products, and so the Grams, of
 # the benchmark configurations bitwise those of one whole-matrix product.
 TILE_ALIGN = 8
+# Rows per block of a packed Gram (`SymmetricGram`), rounded down to a
+# multiple of the fill tile's rows and at least one tile.
+GRAM_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -193,13 +200,22 @@ def _batch(spec: KernelSpec, xs) -> np.ndarray:
     return a
 
 
-def _fill_tiles(spec: KernelSpec, a, b, G, upper: bool) -> None:
-    """Write K(a[i], b[j]) into G one tile of rows at a time; with
-    ``upper`` (b is a), only the columns from each tile's first row
-    rightward, which covers the upper triangle."""
-    count, cols = G.shape
+def _tile_rows(cols: int) -> int:
+    """Rows of a fill tile over ``cols`` columns: TILE_BYTES // (8 cols),
+    rounded down to a multiple of TILE_ALIGN and at least TILE_ALIGN."""
     rows = TILE_BYTES // (8 * max(cols, 1)) // TILE_ALIGN * TILE_ALIGN
-    rows = max(rows, TILE_ALIGN)
+    return max(rows, TILE_ALIGN)
+
+
+def _tiles(spec: KernelSpec, a, b, upper: bool):
+    """K(a[i], b[j]) one tile of rows at a time.
+
+    Yields (i0, i1, T) with T = K(a[i0:i1], b[j0:]) in a scratch tile that
+    the next tile overwrites; j0 is 0, or with ``upper`` (b is a) the
+    tile's first row i0, so that the tiles cover the upper triangle.
+    """
+    count, cols = len(a), len(b)
+    rows = _tile_rows(cols)
     scratch = [np.empty(min(rows, count) * cols) for _ in range(3)]
     starts = range(0, count, rows)
     for i0 in starts:
@@ -209,7 +225,7 @@ def _fill_tiles(spec: KernelSpec, a, b, G, upper: bool) -> None:
         t, s, f = (x[:shape[0] * shape[1]].reshape(shape) for x in scratch)
         products = (np.matmul(a[i0:i1, p], b[j0:, p].T, out=t)
                     for p in range(spec.n))
-        G[i0:i1, j0:] = _kernel_values(spec, products, out=(s, f))
+        yield i0, i1, _kernel_values(spec, products, out=(s, f))
     log.info("%s %dx%d: %d rows per tile, %d tiles, %d scratch bytes",
              "gram" if upper else "cross_gram", count, cols, rows,
              len(starts), sum(x.nbytes for x in scratch))
@@ -228,21 +244,102 @@ def _mirror_upper(G) -> None:
         np.copyto(block, block.T, where=lower[:len(block), :len(block)])
 
 
-def gram(spec: KernelSpec, xs) -> np.ndarray:
+class SymmetricGram:
+    """A symmetric ell x ell matrix stored as its upper row blocks.
+
+    Block k holds rows r0:r1 and columns r0:ell of the matrix, C-ordered,
+    with its leading (r1 - r0) square full. The blocks lie back to back at
+    the tail of one buffer of ell * ell floats, so while the matrix stays
+    packed the buffer's front half is never written, and its pages need
+    not become resident. ``g @ X`` multiplies block by block.
+
+    `dense` unpacks the matrix in place into the whole buffer and returns
+    it as the full ell x ell array. ``np.asarray(g)``, and so any numpy
+    function given ``g``, calls it: the conversion changes the object, and
+    two threads must not convert one object at once. After it, the blocks
+    are views of the dense array holding the same values, so ``g @ X`` does
+    the same products as before. The object is not an ndarray: it has
+    ``shape`` and ``@``, and nothing else of the array interface.
+    """
+
+    def __init__(self, ell: int, block: int):
+        self.shape = (ell, ell)
+        self._buf = np.empty(ell * ell)
+        self._dense = None
+        spans = [(r0, min(r0 + block, ell)) for r0 in range(0, ell, block)]
+        at = ell * ell - sum((r1 - r0) * (ell - r0) for r0, r1 in spans)
+        self._blocks = []
+        for r0, r1 in spans:
+            size = (r1 - r0) * (ell - r0)
+            self._blocks.append(
+                (r0, r1, self._buf[at:at + size].reshape(r1 - r0, ell - r0)))
+            at += size
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        for r0, r1, B in self._blocks:
+            out[r0:r1] += B @ x[r0:]
+            out[r1:] += B[:, r1 - r0:].T @ x[r0:r1]
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        a = np.asarray(self.dense(), dtype=dtype)
+        return a.copy() if copy else a
+
+    def dense(self) -> np.ndarray:
+        """The full, exactly symmetric matrix, unpacked in place; a second
+        call returns the same array.
+
+        Block by block from the front, each block's rows are written over
+        the buffer's front, at rows r0:r1 of the ell x ell array, and then
+        the strict upper triangle is mirrored down. A block's destination
+        ends at r1 ell, and the blocks after it start at or past
+        ell^2 - (ell - r1)^2 >= r1 ell, so no unread block is overwritten.
+        Where a block overlaps its own destination (the last ones), numpy
+        copies it through a temporary.
+        """
+        if self._dense is None:
+            ell = self.shape[0]
+            G = self._buf.reshape(ell, ell)
+            for r0, r1, B in self._blocks:
+                G[r0:r1, r0:] = B
+            _mirror_upper(G)
+            self._dense = G
+            self._blocks = [(r0, r1, G[r0:r1, r0:])
+                            for r0, r1, _ in self._blocks]
+        return self._dense
+
+
+def gram(spec: KernelSpec, xs) -> SymmetricGram:
     """Symmetric Gram matrix G[i][j] = K(xs[i], xs[j]) of a (count, n, d)
-    batch; the upper triangle is evaluated and copied into the lower one,
-    so G is exactly symmetric."""
+    batch, packed as a `SymmetricGram`. ``np.asarray`` (or
+    `SymmetricGram.dense`) unpacks it in place into the dense array, once
+    and from one thread; later products give the same bits.
+
+    The matrix is stored in row blocks of about GRAM_BLOCK rows, a
+    multiple of the fill tile's rows, so each block is filled by whole
+    tiles that run from the diagonal rightward. Each block's diagonal
+    square is then mirrored, and the matrix is exactly symmetric.
+    """
     a = _batch(spec, xs)
-    G = np.empty((len(a), len(a)))
-    _fill_tiles(spec, a, a, G, upper=True)
-    _mirror_upper(G)
-    return G
+    ell = len(a)
+    rows = _tile_rows(ell)
+    block = rows * max(1, GRAM_BLOCK // rows)
+    g = SymmetricGram(ell, block)
+    for i0, i1, T in _tiles(spec, a, a, upper=True):
+        r0, _, B = g._blocks[i0 // block]
+        B[i0 - r0:i1 - r0, i0 - r0:] = T
+    for r0, r1, B in g._blocks:
+        _mirror_upper(B[:, :r1 - r0])
+    return g
 
 
 def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
     """K(xs[i], ys[j]) for all pairs of two batches."""
     a, b = _batch(spec, xs), _batch(spec, ys)
     G = np.empty((len(a), len(b)))
-    _fill_tiles(spec, a, b, G, upper=False)
+    for i0, i1, T in _tiles(spec, a, b, upper=False):
+        G[i0:i1] = T
     return G
 

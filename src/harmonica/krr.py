@@ -34,13 +34,16 @@ that are not multiples of the block (a test holds it there).
 `eigvalsh` reads the top k eigenvalues of a Gram without tridiagonalizing
 all of it: a randomized block Krylov method with Rayleigh-Ritz (Musco and
 Musco, NeurIPS 2015, arXiv 1504.05477). Each step costs one product of the
-Gram with a block of b = max(2k, k + 8) columns. The run stops once the
-top k Ritz pairs have a residual block of Frobenius norm at most
-1e-10 |theta_1|, which bounds every |theta_i - lambda_i| by the same amount
-(see `eigvalsh`). The Krylov run may cost at most a quarter of the dense
-`np.linalg.eigvalsh` under a cost model fitted to timings of both routes;
-a Gram too small for two block steps within that, or one whose residual
-trend says it will not converge within it, takes the dense route. The
+Gram with a block of b = max(2k, k + 8) columns, which a packed
+`kernel.SymmetricGram` makes from its upper row blocks: the Krylov route
+never unpacks the Gram, and `nystrom_eigs` keeps about half of it
+resident. The run stops once the top k Ritz pairs have a residual block
+of Frobenius norm at most 1e-10 |theta_1|, which bounds every
+|theta_i - lambda_i| by the same amount (see `eigvalsh`). The Krylov run
+may cost at most a quarter of the dense `np.linalg.eigvalsh` under a cost
+model fitted to timings of both routes; a Gram too small for two block
+steps within that, or one whose residual trend says it will not converge
+within it, takes the dense route. The
 Krylov route pays off on Grams whose spectrum falls off fast past the
 k-th eigenvalue (low rank or fast decay). On the rank-20 identity->square
 Gram at ell = 2000, k = 10 (one BLAS thread) it stops after two steps and
@@ -64,7 +67,8 @@ from .errors import SolverError
 # this module
 from .harmonics import sphere_surface, zonal_features, zonal_poly_table
 from .image import sample_uniform_batch
-from .kernel import KernelSpec, _mirror_upper, cross_gram, gram
+from .kernel import (KernelSpec, SymmetricGram, _mirror_upper, cross_gram,
+                     gram)
 from .spectrum import (LambdaTable, canonical_profile, expand_spectrum,
                        mu_eigenvalue)
 
@@ -183,8 +187,13 @@ def _steps_left(prev: float, rel: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow sends it dense
-def eigvalsh(a: np.ndarray, k: int) -> np.ndarray:
+def eigvalsh(a, k: int) -> np.ndarray:
     """The k largest eigenvalues of the symmetric matrix a, largest first.
+
+    ``a`` is an ndarray or a packed `kernel.SymmetricGram`: the Krylov
+    route only multiplies it by blocks of columns, which a packed Gram
+    does from its upper row blocks, and the dense route takes
+    ``np.asarray(a)``, which unpacks one in place.
 
     Randomized block Krylov with Rayleigh-Ritz. A block of
     b = max(2k, k + 8) columns from ``np.random.default_rng(0)`` starts an
@@ -202,15 +211,15 @@ def eigvalsh(a: np.ndarray, k: int) -> np.ndarray:
     misses one of the top k eigenvectors (probability zero in exact
     arithmetic), |theta_i - lambda_i| <= EIG_TOL |theta_1| for every i <= k.
 
-    Dense route, ``np.linalg.eigvalsh(a)[::-1][:k]``: the Krylov run may
-    build only the basis columns that KRYLOV_SHARE of the dense cost pays
-    for (`_krylov_columns`; 220 at ell = 2000, k = 10). Before each step it
-    checks that the steps it still needs fit in them: two at the start,
-    one after the first step, and after that as many as the last step's
-    residual reduction predicts (`_steps_left`). When they do not fit
-    (small Grams, where two steps already cost too much, and slowly
-    converging ones), or a product or residual is not finite, the dense
-    route is taken. The basis and its products are two ell x cap arrays,
+    Dense route, ``np.linalg.eigvalsh(np.asarray(a))[::-1][:k]``: the
+    Krylov run may build only the basis columns that KRYLOV_SHARE of the
+    dense cost pays for (`_krylov_columns`; 220 at ell = 2000, k = 10).
+    Before each step it checks that the steps it still needs fit in them:
+    two at the start, one after the first step, and after that as many as
+    the last step's residual reduction predicts (`_steps_left`). When they
+    do not fit (small Grams, where two steps already cost too much, and
+    slowly converging ones), or a product or residual is not finite, the
+    dense route is taken. The basis and its products are two ell x cap arrays,
     and cap stays under ell/8 (checked for ell up to 50000, k up to 100).
     The route taken is logged at INFO.
     """
@@ -229,7 +238,7 @@ def eigvalsh(a: np.ndarray, k: int) -> np.ndarray:
         if not np.isfinite(W[:, m0:m]).all():
             log.info("eigvalsh: dense route, ell=%d k=%d: non-finite Gram "
                      "product", ell, k)
-            return np.linalg.eigvalsh(a)[::-1][:k]
+            return np.linalg.eigvalsh(np.asarray(a))[::-1][:k]
         H[:m, m0:m] = V[:, :m].T @ W[:, m0:m]
         H[m0:m, :m0] = H[:m0, m0:m].T
         theta, S = np.linalg.eigh(H[:m, :m])
@@ -248,7 +257,7 @@ def eigvalsh(a: np.ndarray, k: int) -> np.ndarray:
              "basis columns (residual/|theta_1| %.2e); %s more steps would "
              "pass the %d columns that %g of the dense cost pays for",
              ell, k, m // b, m, rel, need, cap, KRYLOV_SHARE)
-    return np.linalg.eigvalsh(a)[::-1][:k]
+    return np.linalg.eigvalsh(np.asarray(a))[::-1][:k]
 
 
 @dataclass(frozen=True)
@@ -302,7 +311,7 @@ class FitResult:
         object.__setattr__(self, "fitted", f)
 
 
-def _bounded_gram(spec: KernelSpec, xs) -> np.ndarray:
+def _bounded_gram(spec: KernelSpec, xs) -> SymmetricGram:
     """gram(spec, xs), refusing a kernel whose values leave double range.
 
     The series are nonnegative, so |K(x, y)| <= K(x, x) = diag_value()
@@ -325,12 +334,12 @@ def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
     diagonal written back before G is used again: for the retry, for the
     condition number of a failed fit, and for the fitted values G c, which
     come from the Gram itself, bit for bit. The fit holds one ell x ell
-    array.
+    array: the packed Gram, unpacked in place by `SymmetricGram.dense`.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
     ell = len(data)
-    G = _bounded_gram(spec, data.xs)
+    G = _bounded_gram(spec, data.xs).dense()
     diag = np.diag_indices(ell)
     saved = G[diag]
     G[diag] += lam * ell  # G + lambda l I, in place
@@ -411,7 +420,9 @@ def nystrom_eigs(spec: KernelSpec, ell: int, top_k: int, seed) -> np.ndarray:
 
     Scaling |S^{d-1}|^n / ell converts the Monte-Carlo Gram spectrum to the
     integral operator under the unnormalized product measure, i.e. the
-    kappa^n-corrected closed-form values.
+    kappa^n-corrected closed-form values. The Gram goes to `eigvalsh`
+    packed, so a Krylov run keeps its upper row blocks, about half the
+    Gram, resident; the dense route unpacks it.
     """
     if not 0 < top_k <= ell:
         raise ValueError("need 0 < top_k <= ell")

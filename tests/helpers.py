@@ -3,14 +3,15 @@ harmonica command needs."""
 
 import numpy as np
 
+from harmonica import kernel
 from harmonica.harmonics import _jacobi_nodes, zonal_poly_table
-from harmonica.kernel import KernelSpec, TruncationConfig, gram
+from harmonica.kernel import KernelSpec, SymmetricGram, TruncationConfig, gram
 from harmonica.taylor import series_from
 
 
 def rls_objective(spec, data, fit) -> float:
     """(1/l) sum residual^2 + lambda c^T G c at the fitted coefficients."""
-    G = gram(spec, data.xs)
+    G = np.asarray(gram(spec, data.xs))
     resid = data.ys - G @ fit.coeffs
     return float(np.mean(resid ** 2)
                  + fit.lam * fit.coeffs @ G @ fit.coeffs)
@@ -39,3 +40,29 @@ def save_image_text(img, path) -> None:
         fh.write(f"{img.h} {img.w}\n")
         for row in img.pixels:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def dense_gram(spec, xs) -> np.ndarray:
+    """The Gram filled whole, as `gram` built it before it was packed: the
+    tiles from the diagonal rightward go into one ell x ell array, and
+    then the strict upper triangle is mirrored down."""
+    a = np.asarray(xs, dtype=float)
+    count = len(a)
+    G = np.empty((count, count))
+    align = kernel.TILE_ALIGN
+    rows = max(kernel.TILE_BYTES // (8 * max(count, 1)) // align * align,
+               align)
+    for i0 in range(0, count, rows):
+        i1 = min(i0 + rows, count)
+        products = (a[i0:i1, p] @ a[i0:, p].T for p in range(spec.n))
+        G[i0:i1, i0:] = kernel._kernel_values(spec, products)
+    kernel._mirror_upper(G)
+    return G
+
+
+def pack(a, block: int) -> SymmetricGram:
+    """The symmetric matrix a as a `SymmetricGram` of ``block``-row blocks."""
+    g = SymmetricGram(len(a), block)
+    for r0, r1, B in g._blocks:
+        B[...] = a[r0:r1, r0:]
+    return g

@@ -222,8 +222,11 @@ def test_learning_curve_exit_codes_fuzz(kernel, schedule, sizes, test_size,
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
-@given(kernel=_KERNEL, ell=st.integers(1, 40), top_k=st.integers(1, 10),
+@given(kernel=_KERNEL, ell=st.integers(1, 300), top_k=st.integers(1, 10),
        k_max=st.integers(1, 6))
+# a packed Gram of two blocks, the second of 9 rows
+@example(kernel={"layers": [{"activation": "exp"}, {"activation": "square"}],
+                 "n": 2, "d": 3}, ell=129, top_k=3, k_max=4)
 def test_gram_eig_exit_codes_fuzz(kernel, ell, top_k, k_max):
     cfg = {"kernel": kernel, "ell": ell, "top_k": top_k, "k_max": k_max}
     assert _exit_code("gram-eig", cfg) in (EXIT_OK, EXIT_CONFIG,
@@ -407,6 +410,19 @@ def test_gram_eig_command(tmp_path):
     _, rows = read_rows(out)
     assert len(rows) == 5
     assert all(float(r[3]) < 0.5 for r in rows)
+
+
+def test_gram_eig_unallocatable_gram_exits_2(tmp_path, capsys):
+    # the 5e6-point Gram needs 200 TB, past the 128 TiB user address space,
+    # so no overcommit policy grants it; the sample batch is 80 MB
+    cfg = {"kernel": {"layers": [{"activation": "identity"},
+                                 {"activation": "square"}], "n": 1, "d": 2},
+           "ell": 5 * 10 ** 6, "top_k": 1, "k_max": 2}
+    rc, out = run(tmp_path, "gram-eig", cfg)
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_cnn_label_command(tmp_path):

@@ -17,7 +17,7 @@ from harmonica.kernel import (TruncationConfig, build_kernel, cross_gram,
                               eval_kernel, gram)
 from harmonica.taylor import eval_series
 
-from helpers import constant_kernel
+from helpers import constant_kernel, dense_gram
 
 
 def test_build_square_outer():
@@ -83,7 +83,7 @@ def test_patch_mismatch_rejected():
 def test_gram_single_point():
     spec = build_kernel([activation("square"), activation("square")], 2, 4)
     x = sample_uniform(2, 4, 3)
-    G = gram(spec, [x])
+    G = np.asarray(gram(spec, [x]))
     assert G.shape == (1, 1)
     assert G[0, 0] == pytest.approx(eval_kernel(spec, x, x))
 
@@ -93,7 +93,7 @@ def test_gram_matches_pairwise_eval():
                        (["square", "square"], 1, 5)]:
         spec = build_kernel([activation(a) for a in acts], n, d)
         xs = sample_uniform_batch(9, n, d, 17)
-        G = gram(spec, xs)
+        G = np.asarray(gram(spec, xs))
         assert np.array_equal(G, G.T)
         for i in range(9):
             for j in range(9):
@@ -206,7 +206,7 @@ def test_tiled_grams_bitwise_equal_untiled(name, n, d, count, other,
     with mock.patch.object(kernel, "TILE_BYTES", 8 * tile_rows * other):
         C = cross_gram(spec, xs, ys)
     with mock.patch.object(kernel, "TILE_BYTES", 8 * tile_rows * count):
-        G = gram(spec, xs)
+        G = np.asarray(gram(spec, xs))
     want = untiled_values(spec, xs, xs)
     assert np.array_equal(C, untiled_values(spec, xs, ys))
     assert np.array_equal(G, 0.5 * (want + want.T))
@@ -222,24 +222,25 @@ def test_gram_exactly_symmetric_across_tiles():
         spec = build_kernel([activation(a) for a in acts], n, d)
         xs = sample_uniform_batch(61, n, d, (n, d))
         with mock.patch.object(kernel, "TILE_BYTES", 8 * 8 * 61):
-            G = gram(spec, xs)
+            G = np.asarray(gram(spec, xs))
         assert np.array_equal(G, G.T)
         np.testing.assert_allclose(G, untiled_values(spec, xs, xs),
                                    rtol=1e-13, atol=1e-13 * spec.diag_value())
 
 
 def test_gram_peak_memory_is_result_plus_scratch():
-    """One ell = 2000 Gram allocates its result and a few tiles, not the
-    whole-matrix temporaries (122 MiB peak for the 30.5 MiB result)."""
+    """One ell = 2000 Gram allocates its ell x ell buffer and a few tiles,
+    not the whole-matrix temporaries (122 MiB peak for the 30.5 MiB
+    result)."""
     spec = build_kernel([activation("identity"), activation("square")], 2, 3)
     xs = sample_uniform_batch(2000, 2, 3, 0)
     tracemalloc.start()
     try:
-        G = gram(spec, xs)
+        gram(spec, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= G.nbytes + 2 * 2 ** 20
+    assert peak <= 2000 * 2000 * 8 + 2 * 2 ** 20
 
 
 def test_concurrent_grams_match_serial():
@@ -261,3 +262,60 @@ def test_concurrent_grams_match_serial():
             sys.setswitchinterval(old)
     for g, w in zip(got, want * 3):
         assert np.array_equal(g, w)
+
+
+_PACKED_SIZES = (1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 1000)
+
+
+@pytest.mark.parametrize("acts", [("identity", "square"), ("exp", "exp"),
+                                  ("erf_sigmoid", "smooth_hinge")])
+def test_packed_gram_unpacks_bitwise_to_dense_fill(acts):
+    """Below, on and just past tile and block boundaries (blocks of 112
+    rows at ell = 257, two blocks at 129, eight at 1000), the unpacked Gram
+    is bit for bit the Gram filled whole and mirrored."""
+    spec = build_kernel([activation(a) for a in acts], 2, 3)
+    for ell in _PACKED_SIZES:
+        xs = sample_uniform_batch(ell, 2, 3, ell)
+        got = np.asarray(gram(spec, xs))
+        assert got.shape == (ell, ell)
+        assert got.tobytes() == dense_gram(spec, xs).tobytes(), ell
+
+
+def test_packed_gram_product_matches_dense_product():
+    """The blockwise product agrees with the dense one for a vector, a
+    block of columns and a strided column slice."""
+    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
+    rng = np.random.default_rng(4)
+    for ell in _PACKED_SIZES:
+        xs = sample_uniform_batch(ell, 2, 3, ell)
+        g, G = gram(spec, xs), dense_gram(spec, xs)
+        X = np.asfortranarray(rng.standard_normal((ell, 9)))
+        for x in (X, X[:, 0], X[:, 2:7]):
+            want = G @ x
+            got = g @ x
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_dense_unpacks_in_place_once():
+    """dense() returns the packed Gram's own buffer, allocates no second
+    Gram-sized array, and a second call (or np.asarray) is the same array;
+    products give the same bits before and after it."""
+    spec = build_kernel([activation("exp"), activation("exp")], 2, 3)
+    xs = sample_uniform_batch(1000, 2, 3, 9)
+    g = gram(spec, xs)
+    x = np.random.default_rng(1).standard_normal((1000, 3))
+    packed = g @ x
+    tracemalloc.start()
+    try:
+        G = g.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the mirror's 128 x 128 diagonal tile, or an overlapping block's
+    # temporary (the last block, 104 x 104); the Gram is 7.6 MiB
+    assert peak <= 2 ** 18
+    assert np.shares_memory(G, g._buf)
+    assert g.dense() is G and np.asarray(g) is G
+    assert G.tobytes() == dense_gram(spec, xs).tobytes()
+    assert (g @ x).tobytes() == packed.tobytes()

@@ -1,7 +1,11 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +24,7 @@ from harmonica.spectrum import (canonical_profile, enumerate_spectrum,
                                 lambda_table, mu_eigenvalue)
 
 from conftest import scalar_zonal_feature
-from helpers import constant_kernel, rls_objective
+from helpers import constant_kernel, pack, rls_objective
 
 EI = [activation("exp"), activation("identity")]
 
@@ -147,7 +151,7 @@ def test_rls_fitted_values_are_gram_times_coeffs(monkeypatch):
     spec = build_kernel([activation("exp"), activation("square")], 2, 3)
     xs = sample_uniform_batch(300, 2, 3, 13)
     data = Dataset(xs=xs, ys=np.random.default_rng(6).standard_normal(300))
-    G = gram(spec, xs)
+    G = np.asarray(gram(spec, xs))
     plain = rls_fit(spec, data, 1e-2)
     assert plain.fitted.tobytes() == (G @ plain.coeffs).tobytes()
     calls = _failing_cho_factor(monkeypatch, failures=1)
@@ -210,7 +214,7 @@ def test_rls_retry_after_partial_write_restores_gram(monkeypatch):
     ell, lam = 300, 1e-2
     xs = sample_uniform_batch(ell, 2, 3, 13)
     data = Dataset(xs=xs, ys=np.random.default_rng(6).standard_normal(ell))
-    G = gram(spec, xs)
+    G = np.asarray(gram(spec, xs))
     diag = np.diag_indices(ell)
     calls = _partial_cho_factor(monkeypatch, failures=1)
     fit = rls_fit(spec, data, lam)
@@ -316,6 +320,44 @@ def test_nystrom_top_k_matches_full_eigvalsh():
                                rtol=1e-12)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_nystrom_keeps_half_a_gram_resident():
+    """On the Krylov route (the benchmark's ell = 2000 rank-20 Gram) the
+    Gram stays packed: the rise of the peak resident memory of
+    nystrom_eigs stays under half the 30.5 MiB dense Gram plus 12 MiB for
+    the rest (about 20 MiB; the dense Gram rose by about 33 MiB).
+
+    The peak is the process's VmHWM, not ru_maxrss: Linux starts the
+    ru_maxrss of a process at the resident size of the one that spawned
+    it, here the test runner, which would hide the rise."""
+    ell = 2000
+    script = "\n".join([
+        "from harmonica.activations import activation",
+        "from harmonica.kernel import build_kernel",
+        "from harmonica.krr import nystrom_eigs",
+        "def peak():",  # KiB
+        "    with open('/proc/self/status') as fh:",
+        "        return next(int(line.split()[1]) for line in fh",
+        "                    if line.startswith('VmHWM:'))",
+        "spec = build_kernel([activation('identity'), activation('square')],"
+        " 2, 3)",
+        "nystrom_eigs(spec, 40, 10, seed=1)",  # loads what a run uses
+        "before = peak()",
+        f"nystrom_eigs(spec, {ell}, 10, seed=0)",
+        "print((peak() - before) * 1024)",
+    ])
+    src = str(Path(krr.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rise = int(proc.stdout)
+    assert rise <= 0.5 * ell * ell * 8 + 12 * 2 ** 20, rise / 2 ** 20
+
+
 def _psd_with_spectrum(eigs, seed):
     """Q diag(eigs) Q^T for a random orthogonal Q, exactly symmetric."""
     rng = np.random.default_rng(seed)
@@ -353,15 +395,17 @@ def test_eigvalsh_matches_dense_eigvalsh(ell, rank, decay, multiplet, k,
         eigs[1:10] = eigs[1]
     a = _psd_with_spectrum(eigs, seed)
     want = np.linalg.eigvalsh(a)[::-1][:k]
-    got = krr.eigvalsh(a, k)
-    assert got.shape == (k,)
-    assert np.abs(got - want).max() <= 1e-9 * abs(want[0])
     # at these sizes the cost budget mostly picks the dense route; with no
-    # budget the Krylov route runs until it converges or fills ell columns
-    with mock.patch.object(krr, "KRYLOV_SHARE", math.inf):
-        got = krr.eigvalsh(a, k)
-    assert got.shape == (k,)
-    assert np.abs(got - want).max() <= 1e-9 * abs(want[0])
+    # budget the Krylov route runs until it converges or fills ell columns.
+    # Both routes also take the matrix packed, in blocks of 128, 56 or 8
+    # rows (the dense route unpacks it)
+    block = (128, 56, 8)[seed % 3]
+    for share in (krr.KRYLOV_SHARE, math.inf):
+        for x in (a, pack(a, block)):
+            with mock.patch.object(krr, "KRYLOV_SHARE", share):
+                got = krr.eigvalsh(x, k)
+            assert got.shape == (k,)
+            assert np.abs(got - want).max() <= 1e-9 * abs(want[0])
 
 
 def _identity_square_gram(ell, seed):

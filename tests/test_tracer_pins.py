@@ -4,15 +4,20 @@
 ``getattr`` on the module (or class) where its caller finds it, so deleting
 or moving one of those names breaks the traced benchmark run. These tests
 run ``install()`` with a tracer that only checks each name, and pin the
-per-profile ``mu_eigenvalue`` calls that the tracer's ``spectrum.enum_yield``
-divides by.
+calls the traced metrics rest on: the per-profile ``mu_eigenvalue`` calls
+that ``spectrum.enum_yield`` divides by, and the Gram that the Nystrom
+eigensolver and the RLS fit get through ``krr.gram``, which
+``kernel.gram_s`` times and ``kernel.entries`` counts.
 """
 
 import importlib
 from pathlib import Path
 
-from harmonica import spectrum
+import numpy as np
+
+from harmonica import krr, spectrum
 from harmonica.activations import activation
+from harmonica.image import sample_uniform_batch
 from harmonica.kernel import build_kernel
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,3 +60,22 @@ def test_enumerate_spectrum_calls_mu_eigenvalue_per_profile(monkeypatch):
     entries = spectrum.enumerate_spectrum(spec, table, 6)
     assert len(calls) >= len(entries) > 0
     assert {e.profile for e in entries} <= set(calls)
+
+
+def test_nystrom_and_rls_fit_get_their_gram_through_krr_gram(monkeypatch):
+    # the tracer wraps krr.gram: a Gram built any other way would leave
+    # kernel.gram_s and kernel.entries reading 0 on nystrom and
+    # learning-curve
+    calls = []
+    real = krr.gram
+
+    def counted(spec, xs):
+        calls.append(len(xs))
+        return real(spec, xs)
+
+    monkeypatch.setattr(krr, "gram", counted)
+    spec = build_kernel([activation("identity"), activation("square")], 2, 3)
+    krr.nystrom_eigs(spec, 50, 3, seed=0)
+    data = krr.Dataset(xs=sample_uniform_batch(40, 2, 3, 1), ys=np.ones(40))
+    krr.rls_fit(spec, data, 1e-2)
+    assert calls == [50, 40]
