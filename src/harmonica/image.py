@@ -82,15 +82,26 @@ def unit_patches(a) -> np.ndarray:
 
     Each trailing row is one patch on S^{d-1}; a row whose norm deviates
     from 1 by more than NORM_TOL is refused. A (count, n, d) batch is
-    checked in one pass.
+    checked a chunk of rows at a time (`_row_chunks`), so the check makes
+    no temporary of the batch's size.
     """
-    p = np.array(a, dtype=float)
+    p = np.array(a, dtype=float, order="C")
     if p.ndim < 2 or p.shape[-2] < 1 or p.shape[-1] < 2:
         raise StructuralError("patches must form (..., n, d>=2) arrays")
-    if np.any(np.abs(np.linalg.norm(p, axis=-1) - 1.0) > NORM_TOL):
-        raise ValueError("patch norms deviate from 1 beyond tolerance")
+    for rows in _row_chunks(p):
+        if np.any(np.abs(np.linalg.norm(rows, axis=-1) - 1.0) > NORM_TOL):
+            raise ValueError("patch norms deviate from 1 beyond tolerance")
     p.flags.writeable = False
     return p
+
+
+def _row_chunks(p: np.ndarray):
+    """Views of the trailing rows of the C-ordered p, about 1 MiB of them
+    at a time. A row's norm is reduced over that row alone, so a chunk's
+    norms are bitwise those of the whole array."""
+    rows = p.reshape(-1, p.shape[-1])
+    step = max(1, 2 ** 20 // (8 * rows.shape[1]))
+    return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
 @np.errstate(over="ignore")  # an overflowing sum of squares is rescaled
@@ -125,15 +136,22 @@ def sample_uniform(n: int, d: int, seed) -> np.ndarray:
 
 
 def sample_uniform_batch(count: int, n: int, d: int, seed) -> np.ndarray:
-    """A reproducible (count, n, d) batch of uniform product-sphere points."""
+    """A reproducible (count, n, d) batch of uniform product-sphere points.
+
+    The normal draws are normalized in place, a chunk of rows at a time,
+    so the call holds the draws and the read-only copy `unit_patches`
+    returns, and no other array of the batch's size.
+    """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, n, d))
-    norms = np.linalg.norm(g, axis=-1, keepdims=True)
-    # an exact zero draw is astronomically unlikely; guard anyway
-    norms[norms == 0.0] = 1.0
-    return unit_patches(g / norms)
+    for rows in _row_chunks(g):
+        norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+        # an exact zero draw is astronomically unlikely; guard anyway
+        norms[norms == 0.0] = 1.0
+        rows /= norms
+    return unit_patches(g)
 
 
 def load_image_text(path) -> Image:

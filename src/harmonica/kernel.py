@@ -15,7 +15,8 @@ tensor or a whole-matrix temporary. `gram` computes only the tiles from
 the diagonal rightward and returns a `SymmetricGram`: the upper row
 blocks, packed at the tail of one ell x ell buffer. A product with a block
 of columns reads them alone, so a Krylov eigensolver keeps about half a
-Gram resident; `SymmetricGram.dense` (or ``np.asarray``) unpacks them in
+Gram resident, and `krr.cho_factor` factors the blocks where they lie;
+`SymmetricGram.dense` (or ``np.asarray``) unpacks them in
 place and copies the strict upper triangle into the lower one, so the
 dense Gram is exactly symmetric. The spectral route lives in `spectrum`
 and the two are cross-checked by the Mercer reconstruction tests.

@@ -7,29 +7,30 @@ derive from (seed, size) pairs so runs reproduce regardless of scheduling.
 Sample batches are (count, n, d) arrays, and a target is a function from
 such a batch to its (count,) labels.
 
-The linear algebra is numpy alone. `cho_factor` is an in-place
-left-looking blocked Cholesky: block column j:k of L is the panel
-a[j:, j:k] less the product of the factor's finished columns, which it
-reads from a's own lower triangle; the panel's top block is factored by
-`np.linalg.cholesky` and only its lower triangle copied back, and the
-rows below it are multiplied by the inverse of that block's transpose.
-L is written over a's lower triangle and a's strict upper triangle is
-never written (panel scratch is O(ell BLOCK)), so an RLS fit holds the
-Gram and nothing else of that size: `rls_fit` mirrors the Gram's upper
-triangle back down after the solve. `cho_factor` raises
-`np.linalg.LinAlgError` on a matrix that is not positive definite, in
-whichever block the failure shows (the jitter retry in `rls_fit` catches
-it). At ell = 1600 it agrees with `np.linalg.cholesky` within 1e-15 of the
-largest entry. `rls_fit` adds the ridge, and on a retry the jitter, to
-the Gram's own diagonal and writes the saved diagonal back before it
-takes the fitted values G c. numpy has no triangular solve, so
-`cho_solve` runs a blocked forward substitution L z = b and then a
-blocked back substitution L^T x = z, reading only L's lower triangle:
-each diagonal block of at most BLOCK rows is solved by one
-`np.linalg.solve`, and each off-diagonal update is one matrix-vector
-product. On well-conditioned SPD systems it agrees with a dense
-`np.linalg.solve` to 1e-12 relative for ell up to 1600, including sizes
-that are not multiples of the block (a test holds it there).
+The linear algebra is numpy alone. A fit never unpacks its Gram:
+`rls_fit` adds the ridge to the diagonal of the packed
+`kernel.SymmetricGram` that `gram` returns, and `cho_factor` factors it
+as G = R^T R in those same upper row blocks, one block of R's rows over
+each block of G's (LAPACK's packed upper Cholesky, `dpptrf`, does the
+same one row at a time). Block i, less the products of the earlier row
+blocks, is formed in one scratch array of one block's rows by ell; its
+diagonal square is factored by `np.linalg.cholesky`, which raises
+`np.linalg.LinAlgError` in whichever block the matrix fails to be
+positive definite (the jitter retry in `rls_fit` catches it), and the
+rest of its row is multiplied by the inverse of that factor. So an RLS
+fit holds the blocks, about half an ell x ell Gram, plus a scratch array
+and the block inverses of about 128 x ell floats each: a learning curve
+at ell = 8000 peaks at about 304 MiB, against 535 MiB with the Gram
+unpacked (one OpenBLAS thread, 2-core x86-64 Linux). At ell = 1600 R
+agrees with `np.linalg.cholesky` within 1e-13 of the largest entry (a
+test holds it there). `cho_solve` runs the forward pass R^T z = b and
+the back pass R x = z over the same blocks: each diagonal block is one
+product with a kept inverse, and each off-diagonal update one
+matrix-vector product. On well-conditioned SPD systems it agrees with a
+dense `np.linalg.solve` to 1e-12 relative for ell up to 1600, including
+sizes that are not multiples of the block. As G is gone once it is
+factored, the fitted values are y - lambda ell c, which is G c up to the
+solve's residual (see `FitResult`).
 
 `eigvalsh` reads the top k eigenvalues of a Gram without tridiagonalizing
 all of it: a randomized block Krylov method with Rayleigh-Ritz (Musco and
@@ -67,14 +68,13 @@ from .errors import SolverError
 # this module
 from .harmonics import sphere_surface, zonal_features, zonal_poly_table
 from .image import sample_uniform_batch
-from .kernel import (KernelSpec, SymmetricGram, _mirror_upper, cross_gram,
-                     gram)
+from .kernel import KernelSpec, SymmetricGram, _batch, cross_gram, gram
 from .spectrum import (LambdaTable, canonical_profile, expand_spectrum,
                        mu_eigenvalue)
 
 log = logging.getLogger(__name__)
 
-# columns per panel of cho_factor, rows per diagonal block of cho_solve
+# test points per cross_gram call of predict
 BLOCK = 128
 # eigvalsh stops once the top-k residual block is this small against |theta_1|
 EIG_TOL = 1e-10
@@ -82,46 +82,54 @@ EIG_TOL = 1e-10
 KRYLOV_SHARE = 0.25
 
 
-def cho_factor(a: np.ndarray) -> np.ndarray:
-    """Factor the SPD matrix a = L L^T in place; returns a.
+def cho_factor(g: SymmetricGram) -> tuple:
+    """Factor the packed SPD matrix g = R^T R in g's own storage.
 
-    Left-looking, one block column of at most BLOCK columns at a time.
-    L is written over the lower triangle of a (diagonal included), and a's
-    strict upper triangle is never written, so it still holds the matrix.
-    Each panel is built in one preallocated ell x BLOCK scratch array. On
-    a `np.linalg.LinAlgError` the lower triangle is part matrix, part
-    factor.
+    Returns ``(g, inverses)``: block i of g, rows r0:r1 and columns
+    r0:ell, now holds row block i of the upper triangular R (its diagonal
+    square R_ii with zeros below the diagonal), and ``inverses[i]`` is
+    R_ii^-T, the lower triangular inverse `cho_solve` multiplies by.
+    Left-looking by row block, as LAPACK's packed `dpptrf` is by row: the
+    block less the products of the earlier row blocks' columns r0:ell,
+    formed in one scratch array of one block's rows by ell, then its
+    diagonal square factored by `np.linalg.cholesky` and the rest of the
+    row multiplied by the inverse of that factor. Nothing outside the
+    blocks is read or written. On a `np.linalg.LinAlgError` (a matrix that
+    is not positive definite, in whichever block the failure shows) the
+    blocks are part matrix, part factor.
     """
-    ell = len(a)
-    scratch = np.empty(ell * min(BLOCK, ell))
-    lower = np.tri(BLOCK, dtype=bool)
-    for j in range(0, ell, BLOCK):
-        k = min(j + BLOCK, ell)
-        panel = scratch[:(ell - j) * (k - j)].reshape(ell - j, k - j)
-        np.matmul(a[j:, :j], a[j:k, :j].T, out=panel)
-        np.subtract(a[j:, j:k], panel, out=panel)
-        diag = np.linalg.cholesky(panel[:k - j])
-        np.copyto(a[j:k, j:k], diag, where=lower[:k - j, :k - j])
-        np.matmul(panel[k - j:], np.linalg.inv(diag).T, out=a[k:, j:k])
-    return a
+    ell = g.shape[0]
+    width = max((r1 - r0 for r0, r1, _ in g._blocks), default=0)
+    scratch = np.empty(width * ell)
+    inverses = []
+    for i, (r0, r1, B) in enumerate(g._blocks):
+        w = r1 - r0
+        T = scratch[:w * (ell - r0)].reshape(w, ell - r0)
+        for q0, _, Q in g._blocks[:i]:
+            np.matmul(Q[:, r0 - q0:r1 - q0].T, Q[:, r0 - q0:], out=T)
+            B -= T
+        L = np.linalg.cholesky(B[:, :w])
+        inverse = np.linalg.inv(L)
+        np.matmul(inverse, B[:, w:], out=T[:, w:])
+        B[:, w:] = T[:, w:]
+        B[:, :w] = L.T
+        inverses.append(inverse)
+    return g, inverses
 
 
-def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b by blocked forward and back substitution.
-
-    Only the lower triangle of L is read, so L may be the array
-    `cho_factor` wrote its factor into.
-    """
+def cho_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve (R^T R) x = b for the ``(g, inverses)`` that `cho_factor`
+    returns: a forward pass R^T z = b and a back pass R x = z, block by
+    block. Each diagonal block is one product with R_ii^-T or its
+    transpose, and each off-diagonal update one product with the rest of
+    a row block of R."""
+    g, inverses = factor
     x = np.array(b, dtype=float)
-    starts = range(0, L.shape[0], BLOCK)
-    for i in starts:  # L z = b, top block first
-        j = i + BLOCK
-        x[i:j] = np.linalg.solve(np.tril(L[i:j, i:j]),
-                                 x[i:j] - L[i:j, :i] @ x[:i])
-    for i in reversed(starts):  # L^T x = z, bottom block first
-        j = i + BLOCK
-        x[i:j] = np.linalg.solve(np.tril(L[i:j, i:j]).T,
-                                 x[i:j] - L[j:, i:j].T @ x[j:])
+    for (r0, r1, B), inverse in zip(g._blocks, inverses):  # R^T z = b
+        x[r0:r1] = inverse @ x[r0:r1]
+        x[r1:] -= B[:, r1 - r0:].T @ x[r0:r1]
+    for (r0, r1, B), inverse in zip(g._blocks[::-1], inverses[::-1]):
+        x[r0:r1] = inverse.T @ (x[r0:r1] - B[:, r1 - r0:] @ x[r1:])  # R x = z
     return x
 
 
@@ -290,8 +298,10 @@ class FitResult:
     """Dual coefficients of one RLS solve plus the inputs they refer to.
 
     ``xs`` is the (ell, n, d) training batch; ``fitted`` holds the fit's
-    values at those inputs, G c, taken from the Gram the solve already
-    built.
+    values at those inputs, G c, taken as y - shift c from the labels y
+    and the diagonal shift of the solve (lambda ell, plus the jitter of a
+    retry): (G + shift I) c = y, so the two agree up to the solve's
+    residual, within 1e-12 relative in the tests.
     """
 
     coeffs: np.ndarray
@@ -325,50 +335,66 @@ def _bounded_gram(spec: KernelSpec, xs) -> SymmetricGram:
     return gram(spec, xs)
 
 
+def _shift_diagonal(g: SymmetricGram, shift: float) -> None:
+    """Add shift to the diagonal of the packed g, in place."""
+    for r0, r1, B in g._blocks:
+        d = np.arange(r1 - r0)
+        B[d, d] += shift
+
+
 def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
     """Solve (G + lambda l I) c = y by Cholesky, with one jitter retry.
 
-    The ridge and the jitter go onto G's own diagonal, and `cho_factor`
-    writes the factor over G's lower triangle. G is exactly symmetric, so
-    its unwritten upper triangle is mirrored back down and the saved
-    diagonal written back before G is used again: for the retry, for the
-    condition number of a failed fit, and for the fitted values G c, which
-    come from the Gram itself, bit for bit. The fit holds one ell x ell
-    array: the packed Gram, unpacked in place by `SymmetricGram.dense`.
+    G stays packed: the ridge, and on a retry the jitter, go onto the
+    diagonal of its upper row blocks, and `cho_factor` writes R over the
+    blocks, so a fit holds about half an ell x ell Gram and never unpacks
+    it. The fitted values are y - shift c (see `FitResult`), as G itself
+    is factored by then. A failed factorization leaves the blocks part
+    factor, so the retry and the condition number of a fit that fails
+    twice each rebuild the Gram through `gram`.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
     ell = len(data)
-    G = _bounded_gram(spec, data.xs).dense()
-    diag = np.diag_indices(ell)
-    saved = G[diag]
-    G[diag] += lam * ell  # G + lambda l I, in place
+    shift = lam * ell
+    g = _bounded_gram(spec, data.xs)
+    _shift_diagonal(g, shift)  # G + lambda l I, in place
     try:
-        c = cho_solve(cho_factor(G), data.ys)
+        c = cho_solve(cho_factor(g), data.ys)
     except np.linalg.LinAlgError:
-        jitter = 1e-12 * saved.sum() / ell
+        g = _bounded_gram(spec, data.xs)
+        diag = np.concatenate([B.diagonal() for _, _, B in g._blocks])
+        jitter = 1e-12 * diag.sum() / ell
         log.info("rls_fit: Cholesky failed at ell=%d; retrying with jitter "
                  "%.3e", ell, jitter)
-        _mirror_upper(G)
-        G[diag] = saved + lam * ell
-        G[diag] += jitter
+        _shift_diagonal(g, shift)
+        _shift_diagonal(g, jitter)
         try:
-            c = cho_solve(cho_factor(G), data.ys)
+            c = cho_solve(cho_factor(g), data.ys)
         except np.linalg.LinAlgError as exc:
-            _mirror_upper(G)
-            G[diag] = saved + lam * ell  # the unjittered matrix
+            G = np.asarray(_bounded_gram(spec, data.xs))
+            G[np.diag_indices(ell)] += shift  # the unjittered matrix
             cond = float(np.linalg.cond(G))
             raise SolverError(
                 f"Gram factorization failed even with jitter {jitter:.3e} "
                 f"(cond ~ {cond:.3e})", condition=cond) from exc
-    _mirror_upper(G)
-    G[diag] = saved
-    return FitResult(coeffs=c, lam=lam, xs=data.xs, fitted=G @ c)
+        shift += jitter
+    return FitResult(coeffs=c, lam=lam, xs=data.xs,
+                     fitted=data.ys - shift * c)
 
 
 def predict(spec: KernelSpec, fit: FitResult, xs) -> np.ndarray:
-    """f(x) = sum_i c_i K(x, x_i) for each point of a (count, n, d) batch."""
-    return cross_gram(spec, xs, fit.xs) @ fit.coeffs
+    """f(x) = sum_i c_i K(x, x_i) for each point of a (count, n, d) batch.
+
+    The kernel values are taken BLOCK points at a time, so the call holds
+    BLOCK x ell of them, not count x ell.
+    """
+    pts = _batch(spec, xs)
+    out = np.empty(len(pts))
+    for i in range(0, len(pts), BLOCK):
+        np.matmul(cross_gram(spec, pts[i:i + BLOCK], fit.xs), fit.coeffs,
+                  out=out[i:i + BLOCK])
+    return out
 
 
 def mse(pred: np.ndarray, truth: np.ndarray) -> float:

@@ -66,3 +66,15 @@ def pack(a, block: int) -> SymmetricGram:
     for r0, r1, B in g._blocks:
         B[...] = a[r0:r1, r0:]
     return g
+
+
+def unpack(g) -> np.ndarray:
+    """A new dense array holding the blocks of the packed g at rows r0:r1,
+    columns r0:ell, and zeros below them; g is not changed. For a packed
+    symmetric matrix that is its upper triangle (and each block's whole
+    diagonal square), for a factor from `krr.cho_factor` it is R."""
+    ell = g.shape[0]
+    a = np.zeros((ell, ell))
+    for r0, r1, B in g._blocks:
+        a[r0:r1, r0:] = B
+    return a

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,23 @@ def test_sample_uniform_batch_matches_per_image_rows():
     assert batch.shape == (count, n, d) and not batch.flags.writeable
     assert np.array_equal(sample_uniform(n, d, seed),
                           sample_uniform_batch(1, n, d, seed)[0])
+
+
+def test_sample_uniform_batch_holds_two_copies():
+    # the draws are normalized in place and every norm is taken a chunk of
+    # rows at a time, so the call holds the draws and unit_patches' copy
+    # (about 5.5 batches when whole-batch temporaries were made); the
+    # chunked batch must still be bitwise the whole-batch construction
+    count, n, d, seed = 200_000, 2, 2, 0
+    tracemalloc.start()
+    try:
+        batch = sample_uniform_batch(count, n, d, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * batch.nbytes + 2 ** 22, peak / batch.nbytes
+    g = np.random.default_rng(seed).standard_normal((count, n, d))
+    assert np.array_equal(batch, g / np.linalg.norm(g, axis=-1, keepdims=True))
 
 
 def test_text_image_roundtrip(tmp_path, rng):

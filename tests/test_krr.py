@@ -16,7 +16,7 @@ from harmonica import krr
 from harmonica.activations import activation
 from harmonica.errors import SolverError
 from harmonica.image import sample_uniform, sample_uniform_batch
-from harmonica.kernel import build_kernel, eval_kernel, gram
+from harmonica.kernel import build_kernel, cross_gram, eval_kernel, gram
 from harmonica.krr import (Dataset, Schedule, SourceTarget,
                            closed_form_top_eigs, learning_curve, mse,
                            nystrom_eigs, predict, rls_fit, schedule_lambda)
@@ -24,7 +24,7 @@ from harmonica.spectrum import (canonical_profile, enumerate_spectrum,
                                 lambda_table, mu_eigenvalue)
 
 from conftest import scalar_zonal_feature
-from helpers import constant_kernel, pack, rls_objective
+from helpers import constant_kernel, pack, rls_objective, unpack
 
 EI = [activation("exp"), activation("identity")]
 
@@ -79,6 +79,11 @@ def test_prediction_linear_in_labels():
                                2.0 * predict(spec, fit1, q), atol=1e-10)
 
 
+def _free_front(g):
+    """The front of a packed matrix's buffer, which no block covers."""
+    return g._buf[:g._buf.size - sum(B.size for _, _, B in g._blocks)]
+
+
 @pytest.mark.parametrize("ell", [1, 127, 128, 129, 255, 256, 257, 513, 1600])
 def test_blocked_cho_solve_matches_dense_solve(ell):
     # sizes on, just below and just past multiples of the block, for the
@@ -88,26 +93,24 @@ def test_blocked_cho_solve_matches_dense_solve(ell):
     A = X @ X.T / ell + np.eye(ell)
     b = rng.standard_normal(ell)
     b0 = b.copy()
-    A0 = A.copy()
-    upper = np.triu_indices(ell, 1)
-    L = krr.cho_factor(A)
-    assert L is A  # factored in place
-    # the strict upper triangle is never written
-    assert A[upper].tobytes() == A0[upper].tobytes()
-    ref = np.linalg.cholesky(A0)
-    assert np.abs(np.tril(L) - ref).max() <= 1e-13 * np.abs(ref).max()
-    got = krr.cho_solve(L, b)
-    want = np.linalg.solve(A0, b)
+    g = pack(A, 128)
+    _free_front(g)[:] = np.nan
+    factor = krr.cho_factor(g)
+    assert factor[0] is g  # factored in place
+    ref = np.linalg.cholesky(A).T
+    assert np.abs(unpack(g) - ref).max() <= 1e-13 * np.abs(ref).max()
+    got = krr.cho_solve(factor, b)
+    want = np.linalg.solve(A, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.array_equal(b, b0)  # the right-hand side is not overwritten
-    # only the lower triangle is read: zeros above the diagonal give
-    # bitwise the same solution as the matrix's own upper triangle
-    assert krr.cho_solve(np.tril(L), b).tobytes() == got.tobytes()
+    # only the blocks are read and written: the NaNs in the buffer's front
+    # are still there, and none reached the solution
+    assert np.isnan(_free_front(g)).all()
 
 
 def test_cho_factor_refuses_indefinite_matrix():
     with pytest.raises(np.linalg.LinAlgError):
-        krr.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        krr.cho_factor(pack(np.array([[1.0, 2.0], [2.0, 1.0]]), 128))
 
 
 def test_cho_factor_refuses_failure_in_last_block():
@@ -125,39 +128,86 @@ def test_cho_factor_refuses_failure_in_last_block():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(A)
     with pytest.raises(np.linalg.LinAlgError):
-        krr.cho_factor(A)
+        krr.cho_factor(pack(A, 128))
 
 
+def _peak_rise(lines, call):
+    """Bytes the peak resident memory of a fresh interpreter rises by
+    while it runs ``call``, after running ``lines``.
+
+    The peak is the process's VmHWM, not ru_maxrss: Linux starts the
+    ru_maxrss of a process at the resident size of the one that spawned
+    it, here the test runner, which would hide the rise."""
+    script = "\n".join([
+        *lines,
+        "def peak():",  # KiB
+        "    with open('/proc/self/status') as fh:",
+        "        return next(int(line.split()[1]) for line in fh",
+        "                    if line.startswith('VmHWM:'))",
+        "before = peak()",
+        call,
+        "print((peak() - before) * 1024)",
+    ])
+    src = str(Path(krr.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
 def test_rls_fit_holds_gram_only():
-    """One fit allocates the Gram and no second ell x ell array: no
-    shifted copy of the Gram (the ridge goes onto its diagonal) and no
-    separate factor (it is written over the Gram's lower triangle)."""
+    """A fit keeps the Gram packed and factors it in its own blocks: the
+    rise of the peak resident memory stays under half the 19.5 MiB dense
+    Gram plus 8 MiB (the diagonal squares, 0.8 MiB; the factor's scratch
+    and block inverses, 1.6 MiB each; huge-page rounding and the rest).
+    It rose by about 15.6 MiB; with the dense Gram factored in place it
+    rose by about 21.9 MiB."""
     ell = 1600
-    spec = build_kernel(EI, 1, 3)
-    data = Dataset(xs=sample_uniform_batch(ell, 1, 3, 2),
-                   ys=np.random.default_rng(2).standard_normal(ell))
-    tracemalloc.start()
-    try:
-        rls_fit(spec, data, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ell * ell * 8 + 4 * 2 ** 20
+    rise = _peak_rise([
+        "import numpy as np",
+        "from harmonica.activations import activation",
+        "from harmonica.image import sample_uniform_batch",
+        "from harmonica.kernel import build_kernel",
+        "from harmonica.krr import Dataset, rls_fit",
+        "spec = build_kernel([activation('exp'), activation('identity')],"
+        " 1, 3)",
+        "def data(ell):",
+        "    return Dataset(xs=sample_uniform_batch(ell, 1, 3, 2),",
+        "                   ys=np.random.default_rng(2).standard_normal(ell))",
+        "rls_fit(spec, data(40), 1e-3)",  # loads what a fit uses
+        f"train = data({ell})",
+    ], "rls_fit(spec, train, 1e-3)")
+    assert rise <= 0.5 * ell * ell * 8 + 8 * 2 ** 20, rise / 2 ** 20
+
+
+def _check_fitted(fit, ys, shift, G):
+    """fitted is y - shift c bit for bit, and G c within 1e-12 relative
+    (measured: 3e-14 at ell = 300, 2e-13 at ell = 1600)."""
+    assert fit.fitted.tobytes() == (ys - shift * fit.coeffs).tobytes()
+    want = G @ fit.coeffs
+    assert np.linalg.norm(fit.fitted - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_rls_fitted_values_are_gram_times_coeffs(monkeypatch):
-    """The diagonal the ridge and jitter went onto is restored exactly, so
-    the fitted values are G c bit for bit, with or without a retry."""
+    """The fitted values are y minus the solve's diagonal shift times c,
+    which is G c up to the solve's residual, with or without a retry."""
     spec = build_kernel([activation("exp"), activation("square")], 2, 3)
-    xs = sample_uniform_batch(300, 2, 3, 13)
-    data = Dataset(xs=xs, ys=np.random.default_rng(6).standard_normal(300))
+    ell, lam = 300, 1e-2
+    xs = sample_uniform_batch(ell, 2, 3, 13)
+    data = Dataset(xs=xs, ys=np.random.default_rng(6).standard_normal(ell))
     G = np.asarray(gram(spec, xs))
-    plain = rls_fit(spec, data, 1e-2)
-    assert plain.fitted.tobytes() == (G @ plain.coeffs).tobytes()
+    plain = rls_fit(spec, data, lam)
+    _check_fitted(plain, data.ys, lam * ell, G)
     calls = _failing_cho_factor(monkeypatch, failures=1)
-    retried = rls_fit(spec, data, 1e-2)
+    retried = rls_fit(spec, data, lam)
     assert len(calls) == 2
-    assert retried.fitted.tobytes() == (G @ retried.coeffs).tobytes()
+    jitter = 1e-12 * np.diag(G).sum() / ell
+    _check_fitted(retried, data.ys, lam * ell + jitter, G)
 
 
 def test_rls_fit_matches_dense_solve():
@@ -173,15 +223,16 @@ def test_rls_fit_matches_dense_solve():
 
 def _failing_cho_factor(monkeypatch, failures):
     """Make krr.cho_factor raise LinAlgError on its first `failures` calls;
-    returns the list of matrices it was called with."""
+    returns the matrices it was called with, unpacked (upper row blocks,
+    zeros below them)."""
     real = krr.cho_factor
     calls = []
 
-    def cho_factor(a, **kwargs):
-        calls.append(np.array(a))
+    def cho_factor(g):
+        calls.append(unpack(g))
         if len(calls) <= failures:
             raise np.linalg.LinAlgError("not positive definite")
-        return real(a, **kwargs)
+        return real(g)
 
     monkeypatch.setattr(krr, "cho_factor", cho_factor)
     return calls
@@ -190,26 +241,26 @@ def _failing_cho_factor(monkeypatch, failures):
 def _partial_cho_factor(monkeypatch, failures):
     """Make krr.cho_factor factor its argument in place, as the real one
     does, and then raise LinAlgError, on its first `failures` calls: the
-    Gram is left part matrix, part factor. Returns the list of matrices
-    it was called with."""
+    Gram is left part matrix, part factor. Returns the matrices it was
+    called with, unpacked (upper row blocks, zeros below them)."""
     real = krr.cho_factor
     calls = []
 
-    def cho_factor(a):
-        calls.append(np.array(a))
-        L = real(a)
+    def cho_factor(g):
+        calls.append(unpack(g))
+        factor = real(g)
         if len(calls) <= failures:
             raise np.linalg.LinAlgError("not positive definite")
-        return L
+        return factor
 
     monkeypatch.setattr(krr, "cho_factor", cho_factor)
     return calls
 
 
 def test_rls_retry_after_partial_write_restores_gram(monkeypatch):
-    """A failed factorization has written over the Gram's lower triangle;
-    the retry still sees exactly G + lambda l I + jitter I, and the fitted
-    values are still G c bit for bit."""
+    """A failed factorization has written over the packed Gram; the retry
+    rebuilds it and factors exactly G + lambda l I + jitter I, and the
+    fitted values are y - (lambda l + jitter) c bit for bit."""
     spec = build_kernel([activation("exp"), activation("square")], 2, 3)
     ell, lam = 300, 1e-2
     xs = sample_uniform_batch(ell, 2, 3, 13)
@@ -219,11 +270,12 @@ def test_rls_retry_after_partial_write_restores_gram(monkeypatch):
     calls = _partial_cho_factor(monkeypatch, failures=1)
     fit = rls_fit(spec, data, lam)
     assert len(calls) == 2
+    jitter = 1e-12 * G[diag].sum() / ell
     want = G.copy()
     want[diag] += lam * ell
-    want[diag] += 1e-12 * G[diag].sum() / ell
-    assert calls[1].tobytes() == want.tobytes()
-    assert fit.fitted.tobytes() == (G @ fit.coeffs).tobytes()
+    want[diag] += jitter
+    assert np.triu(calls[1]).tobytes() == np.triu(want).tobytes()
+    _check_fitted(fit, data.ys, lam * ell + jitter, G)
 
 
 def test_rls_solver_error_after_partial_writes(monkeypatch):
@@ -249,7 +301,7 @@ def test_rls_cholesky_jitter_retry(monkeypatch):
     calls = _failing_cho_factor(monkeypatch, failures=1)
     fit = rls_fit(spec, data, 1e-3)
     assert len(calls) == 2
-    G = gram(spec, xs)
+    G = np.asarray(gram(spec, xs))
     jitter = 1e-12 * np.trace(G) / 12
     np.testing.assert_allclose(calls[1] - calls[0], jitter * np.eye(12),
                                rtol=0, atol=1e-15)
@@ -268,6 +320,28 @@ def test_rls_cholesky_failure_is_solver_error(monkeypatch):
     want = np.linalg.cond(gram(spec, xs) + 1e-3 * 12 * np.eye(12))
     assert info.value.condition == pytest.approx(want, rel=1e-12)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_predict_blocks_match_whole_cross_gram():
+    """predict takes the kernel values BLOCK test points at a time: the
+    same values as one whole cross_gram product (bitwise here; within
+    1e-13 relative is asserted), without the count x ell array."""
+    spec = build_kernel([activation("exp"), activation("exp")], 2, 3)
+    ell, count = 1600, 1000
+    xs = sample_uniform_batch(ell, 2, 3, 1)
+    fit = rls_fit(spec, Dataset(xs=xs, ys=np.sin(np.arange(ell))), 1e-2)
+    test = sample_uniform_batch(count, 2, 3, 2)
+    want = cross_gram(spec, test, xs) @ fit.coeffs
+    tracemalloc.start()
+    try:
+        got = predict(spec, fit, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # one BLOCK x ell block of kernel values (1.6 MiB) and the fill's
+    # scratch tiles; the whole array would be 12.2 MiB
+    assert peak <= krr.BLOCK * ell * 8 + 2 ** 20, peak / 2 ** 20
 
 
 def test_schedule_formulas_exact():
@@ -326,35 +400,16 @@ def test_nystrom_keeps_half_a_gram_resident():
     """On the Krylov route (the benchmark's ell = 2000 rank-20 Gram) the
     Gram stays packed: the rise of the peak resident memory of
     nystrom_eigs stays under half the 30.5 MiB dense Gram plus 12 MiB for
-    the rest (about 20 MiB; the dense Gram rose by about 33 MiB).
-
-    The peak is the process's VmHWM, not ru_maxrss: Linux starts the
-    ru_maxrss of a process at the resident size of the one that spawned
-    it, here the test runner, which would hide the rise."""
+    the rest (about 20 MiB; the dense Gram rose by about 33 MiB)."""
     ell = 2000
-    script = "\n".join([
+    rise = _peak_rise([
         "from harmonica.activations import activation",
         "from harmonica.kernel import build_kernel",
         "from harmonica.krr import nystrom_eigs",
-        "def peak():",  # KiB
-        "    with open('/proc/self/status') as fh:",
-        "        return next(int(line.split()[1]) for line in fh",
-        "                    if line.startswith('VmHWM:'))",
         "spec = build_kernel([activation('identity'), activation('square')],"
         " 2, 3)",
         "nystrom_eigs(spec, 40, 10, seed=1)",  # loads what a run uses
-        "before = peak()",
-        f"nystrom_eigs(spec, {ell}, 10, seed=0)",
-        "print((peak() - before) * 1024)",
-    ])
-    src = str(Path(krr.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(
-               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rise = int(proc.stdout)
+    ], f"nystrom_eigs(spec, {ell}, 10, seed=0)")
     assert rise <= 0.5 * ell * ell * 8 + 12 * 2 ** 20, rise / 2 ** 20
 
 
@@ -462,13 +517,14 @@ def test_eigvalsh_non_finite_product_takes_dense_route(caplog):
 
 
 def test_rls_fit_logs_jitter_retry(monkeypatch, caplog):
+    real = krr.cho_factor
     calls = []
 
-    def fail_first(a):
-        calls.append(a)
+    def fail_first(g):
+        calls.append(g)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("not positive definite")
-        return np.linalg.cholesky(a)
+        return real(g)
 
     monkeypatch.setattr(krr, "cho_factor", fail_first)
     spec = build_kernel(EI, 1, 3)
