@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import json
 import logging
 import math
@@ -34,6 +33,16 @@ from .krr import (Schedule, SourceTarget, closed_form_top_eigs,
 from .schema import SCHEMAS, validate
 from .spectrum import (SpectralExpansion, enumerate_spectrum, fit_decay,
                        lambda_table)
+
+# the interpreter's built-in SHA-256, the same digest as hashlib's: hashlib
+# loads OpenSSL (about 3.5 MiB resident) to hash a few hundred bytes
+try:
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 log = logging.getLogger("harmonica")
 
@@ -82,7 +91,7 @@ def load_config(path: str, command: str) -> dict:
 
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256(blob.encode()).hexdigest()
 
 
 def _fmt(v) -> str:

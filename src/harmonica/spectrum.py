@@ -55,6 +55,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,7 +115,7 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
     from one left-fold product each (bitwise equal to ``power``). Every
     log-gamma argument is a half-integer, so one ``math.lgamma`` table
     serves the whole call, and the alpha-independent part of each term is
-    built once per k.
+    built once per k from four strided views of it (no index arrays).
     """
     if not f1.nonneg:
         raise ValueError("f1 must be a nonnegative series")
@@ -132,20 +133,25 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
     # every log-gamma argument is a half-integer j/2 with j <= 2 order + d
     lg = _lgamma_halves(2 * order + d)
     for k in range(k_max + 1):
-        s = np.arange((order - k) // 2 + 1)
-        m = k + 2 * s
+        # s = 0 .. ns-1 and m = k + 2s; each log-gamma argument steps by a
+        # fixed stride in s, so each term is a strided view of lg
+        ns = (order - k) // 2 + 1
         # alpha-independent part of log t: m!/(2s)! Gamma(s+1/2)/Gamma(s+k+d/2)
-        log_c = lg[2 * m + 2] - lg[4 * s + 2] + lg[2 * s + 1] - lg[m + k + d]
+        log_c = (lg[2 * k + 2:2 * k + 2 + 4 * ns:4] - lg[2:2 + 4 * ns:4]
+                 + lg[1:1 + 2 * ns:2] - lg[2 * k + d:2 * k + d + 2 * ns:2])
         log_pref = log_pref_base - (k + 1) * math.log(2.0)
         for alpha in range(a_max + 1):
             # only the parity subsequence b[k::2] feeds this entry; a zero at
             # its boundary means the sum terminated exactly (parity-gapped
             # majorants), a nonzero one means real truncation
             pos = b[alpha, k::2] > 0.0
-            if not pos.any():
+            if pos.all():
+                logt = log_b[alpha, k::2] + log_c
+            elif pos.any():
+                logt = (log_b[alpha, k::2] + log_c)[pos]
+            else:
                 continue  # exact zero (notably alpha = 0, k >= 1)
             truncated = bool(pos[-1])
-            logt = (log_b[alpha, k::2] + log_c)[pos]
             top = logt.max()
             logsum = top + math.log(np.exp(logt - top).sum())
             lam[k, alpha] = math.exp(log_pref + logsum)
@@ -197,8 +203,12 @@ def profile_multiplicity(profile: tuple, d: int) -> int:
     return arrangements * dims
 
 
+@lru_cache(maxsize=None)
 def _factorials(size: int) -> np.ndarray:
-    return np.array([math.factorial(a) for a in range(size)], dtype=float)
+    """0!, 1!, ..., (size-1)! as floats; cached per size, so read-only."""
+    fact = np.array([math.factorial(a) for a in range(size)], dtype=float)
+    fact.flags.writeable = False
+    return fact
 
 
 def _outer_weights(spec: KernelSpec, table: LambdaTable) -> np.ndarray:
@@ -280,12 +290,24 @@ def expand_spectrum(entries: list, limit: int | None = None) -> np.ndarray:
     return mus[:limit] if limit is not None else mus
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Least-squares slope and intercept of y against x, in closed form
+    about the means: ``np.polyfit(x, y, 1)`` to rounding, without LAPACK.
+    Centring keeps the sums well scaled even for x = m^4 near 1e20."""
+    x_mean = x.mean()
+    y_mean = y.mean()
+    dx = x - x_mean
+    slope = (dx @ (y - y_mean)) / (dx @ dx)
+    return slope, y_mean - slope * x_mean
+
+
 def counting_slope(entries: list, rank_lo: int = 20, rank_hi: int = 2000,
                    grid: int = 40) -> float:
     """Slope of log N(lam) against log log(1/lam) over a rank window.
 
     The spectrum is normalized by its largest eigenvalue so the double log
-    is defined; the asymptotic slope (d-1) d* is unaffected.
+    is defined; the asymptotic slope (d-1) d* is unaffected. The slope is
+    the closed-form least-squares line of ``_line_fit``.
     """
     mus = expand_spectrum(entries)
     rank_hi = min(rank_hi, mus.size - 1)
@@ -301,17 +323,19 @@ def counting_slope(entries: list, rank_lo: int = 20, rank_hi: int = 2000,
     y = np.log(counts.astype(float))
     if x.size < 3 or np.ptp(x) == 0.0:
         raise FitError("degenerate counting grid")
-    slope = float(np.polyfit(x, y, 1)[0])
-    return slope
+    return float(_line_fit(x, y)[0])
 
 
 def fit_decay(entries: list, p_grid=None, m_min: int = 1,
               m_max: int | None = None) -> dict:
     """Fit log mu_m = log C - gamma m^{1/p} over a grid of stretch exponents.
 
-    Returns the best p with its gamma and R^2, plus the counting-function
-    slope estimate. Requires >= 100 positive eigenvalues; an all-equal
-    spectrum or a rank window of fewer than two is a fit error.
+    Returns the best p (least residual sum of squares) with its gamma and
+    R^2, plus the counting-function slope estimate. Each p is one
+    closed-form least-squares line (``_line_fit``, no LAPACK), fitted in
+    turn so no (ranks x grid) array is built. Requires >= 100 positive
+    eigenvalues; an all-equal spectrum or a rank window of fewer than two
+    is a fit error.
     """
     mus = expand_spectrum(entries)
     if mus.size < 100:
@@ -330,7 +354,7 @@ def fit_decay(entries: list, p_grid=None, m_min: int = 1,
     sst = float(np.sum((y - y.mean()) ** 2))
     for p in p_grid:
         x = m ** (1.0 / p)
-        slope, intercept = np.polyfit(x, y, 1)
+        slope, intercept = _line_fit(x, y)
         sse = float(np.sum((slope * x + intercept - y) ** 2))
         if best is None or sse < best[0]:
             best = (sse, float(p), float(-slope))

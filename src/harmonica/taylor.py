@@ -61,6 +61,8 @@ class CoeffSeries:
         return np.asarray(self.coeffs, dtype=float)
 
     def truncated(self, order: int) -> "CoeffSeries":
+        if order == self.order:
+            return self  # frozen, so sharing it is safe
         return series_from(self.coeffs, order=order, nonneg=self.nonneg)
 
     def degree(self) -> int | None:

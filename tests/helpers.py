@@ -1,12 +1,21 @@
 """Test-only oracles and fixtures, built from library functions, that no
 harmonica command needs."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import harmonica
 from harmonica import kernel
-from harmonica.harmonics import _jacobi_nodes, zonal_poly_table
+from harmonica.errors import ConvergenceError
+from harmonica.harmonics import _jacobi_nodes, sphere_surface, zonal_poly_table
 from harmonica.kernel import KernelSpec, SymmetricGram, TruncationConfig, gram
-from harmonica.taylor import series_from
+from harmonica.spectrum import _lgamma_halves
+from harmonica.taylor import power_table, series_from
 
 
 def rls_objective(spec, data, fit) -> float:
@@ -78,3 +87,66 @@ def unpack(g) -> np.ndarray:
     for r0, r1, B in g._blocks:
         a[r0:r1, r0:] = B
     return a
+
+
+def peak_rise(lines, call):
+    """Bytes the peak resident memory of a fresh interpreter rises by
+    while it runs ``call``, after running ``lines``.
+
+    The peak is the process's VmHWM, not ru_maxrss: Linux starts the
+    ru_maxrss of a process at the resident size of the one that spawned
+    it, here the test runner, which would hide the rise."""
+    script = "\n".join([
+        *lines,
+        "def peak():",  # KiB
+        "    with open('/proc/self/status') as fh:",
+        "        return next(int(line.split()[1]) for line in fh",
+        "                    if line.startswith('VmHWM:'))",
+        "before = peak()",
+        call,
+        "print((peak() - before) * 1024)",
+    ])
+    src = str(Path(harmonica.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def gathered_lambda_table(f1, d: int, k_max: int, a_max: int,
+                          s_tol: float = 1e-12):
+    """(lam, tail) of `spectrum.lambda_table` by its earlier loop, which
+    gathers each log-gamma term with an index array per degree k and
+    compacts every parity subsequence with a boolean mask."""
+    order = f1.order
+    log_pref_base = math.log(sphere_surface(d - 1)) + math.lgamma((d - 1) / 2.0)
+    lam = np.zeros((k_max + 1, a_max + 1))
+    tail = np.zeros((k_max + 1, a_max + 1))
+    powers = power_table(f1, order)
+    b = np.stack([powers(alpha).asarray() for alpha in range(a_max + 1)])
+    with np.errstate(divide="ignore"):
+        log_b = np.log(b)
+    lg = _lgamma_halves(2 * order + d)
+    for k in range(k_max + 1):
+        s = np.arange((order - k) // 2 + 1)
+        m = k + 2 * s
+        log_c = lg[2 * m + 2] - lg[4 * s + 2] + lg[2 * s + 1] - lg[m + k + d]
+        log_pref = log_pref_base - (k + 1) * math.log(2.0)
+        for alpha in range(a_max + 1):
+            pos = b[alpha, k::2] > 0.0
+            if not pos.any():
+                continue
+            truncated = bool(pos[-1])
+            logt = (log_b[alpha, k::2] + log_c)[pos]
+            top = logt.max()
+            logsum = top + math.log(np.exp(logt - top).sum())
+            lam[k, alpha] = math.exp(log_pref + logsum)
+            t_rel = math.exp(logt[-1] - logsum)
+            tail[k, alpha] = t_rel if truncated else 0.0
+            if truncated and (logt.size < 2 or logt[-1] >= logt[-2]
+                              or t_rel >= s_tol):
+                raise ConvergenceError(f"k={k}, alpha={alpha}")
+    return lam, tail

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 import harmonica
 from harmonica import cli
 from harmonica.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
+
+from helpers import peak_rise
+
+PERFBENCH_CONFIGS = (Path(__file__).resolve().parent.parent / "perfbench"
+                     / "configs")
 
 KERNEL_EI = {"layers": [{"activation": "exp"}, {"activation": "identity"}],
              "n": 1, "d": 3}
@@ -722,3 +728,50 @@ def test_no_command_loads_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _hashlib_digest(cfg) -> str:
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["spectrum-decay", "nystrom",
+                                  "learning-curve", "mercer-reconstruct"])
+def test_config_hash_is_hashlib_sha256(name):
+    cfg = json.loads((PERFBENCH_CONFIGS / f"{name}.json").read_text())
+    assert cli.config_hash(cfg) == _hashlib_digest(cfg)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), _JSON, max_size=6))
+def test_config_hash_is_hashlib_sha256_on_json_documents(cfg):
+    assert cli.config_hash(cfg) == _hashlib_digest(cfg)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_spectrum_command_loads_no_openssl(tmp_path):
+    # with the interpreter's own SHA-256 available, the spectrum command on
+    # the benchmark config never loads OpenSSL (hashlib's _hashlib), and no
+    # least-squares fit pages in LAPACK: from numpy's import to the end of
+    # the run the peak resident memory rose by about 5.9 MiB, against about
+    # 10.4 MiB with hashlib and np.polyfit
+    config = PERFBENCH_CONFIGS / "spectrum-decay.json"
+    out = tmp_path / "decay.csv"
+    rise = peak_rise(["import importlib.util, sys", "import numpy"], "\n".join([
+        "from harmonica import cli",
+        f"assert cli.main(['spectrum', '--config', {str(config)!r}, "
+        f"'--out', {str(out)!r}]) == 0",
+        "builtin = any(importlib.util.find_spec(m)",
+        "              for m in ('_sha2', '_sha256'))",
+        "assert not (builtin and '_hashlib' in sys.modules), 'OpenSSL loaded'",
+    ]))
+    assert out.exists() and out.with_suffix(".json").exists()
+    assert rise <= 8 * 2 ** 20, rise / 2 ** 20

@@ -1,11 +1,8 @@
 import logging
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,7 +21,8 @@ from harmonica.spectrum import (canonical_profile, enumerate_spectrum,
                                 lambda_table, mu_eigenvalue)
 
 from conftest import scalar_zonal_feature
-from helpers import constant_kernel, pack, rls_objective, unpack
+from helpers import (constant_kernel, pack, peak_rise, rls_objective,
+                     unpack)
 
 EI = [activation("exp"), activation("identity")]
 
@@ -131,33 +129,6 @@ def test_cho_factor_refuses_failure_in_last_block():
         krr.cho_factor(pack(A, 128))
 
 
-def _peak_rise(lines, call):
-    """Bytes the peak resident memory of a fresh interpreter rises by
-    while it runs ``call``, after running ``lines``.
-
-    The peak is the process's VmHWM, not ru_maxrss: Linux starts the
-    ru_maxrss of a process at the resident size of the one that spawned
-    it, here the test runner, which would hide the rise."""
-    script = "\n".join([
-        *lines,
-        "def peak():",  # KiB
-        "    with open('/proc/self/status') as fh:",
-        "        return next(int(line.split()[1]) for line in fh",
-        "                    if line.startswith('VmHWM:'))",
-        "before = peak()",
-        call,
-        "print((peak() - before) * 1024)",
-    ])
-    src = str(Path(krr.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(
-               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads VmHWM from /proc/self/status")
 def test_rls_fit_holds_gram_only():
@@ -168,7 +139,7 @@ def test_rls_fit_holds_gram_only():
     It rose by about 15.6 MiB; with the dense Gram factored in place it
     rose by about 21.9 MiB."""
     ell = 1600
-    rise = _peak_rise([
+    rise = peak_rise([
         "import numpy as np",
         "from harmonica.activations import activation",
         "from harmonica.image import sample_uniform_batch",
@@ -402,7 +373,7 @@ def test_nystrom_keeps_half_a_gram_resident():
     nystrom_eigs stays under half the 30.5 MiB dense Gram plus 12 MiB for
     the rest (about 20 MiB; the dense Gram rose by about 33 MiB)."""
     ell = 2000
-    rise = _peak_rise([
+    rise = peak_rise([
         "from harmonica.activations import activation",
         "from harmonica.kernel import build_kernel",
         "from harmonica.krr import nystrom_eigs",

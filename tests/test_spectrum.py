@@ -20,8 +20,19 @@ from harmonica.taylor import (compose, exp_series, geometric_series,
                               power, series_from)
 
 from conftest import brute_force_mercer
+from helpers import gathered_lambda_table
 
 EXP = exp_series(64)
+
+
+@pytest.fixture(scope="module")
+def decay_kernel():
+    """The spectrum-decay benchmark kernel (geometric 0.9 into identity,
+    n = 1, d = 2, f1 order 4000) with its k_max = 1200 table."""
+    spec = build_kernel([activation("geometric", ratio=0.9),
+                         activation("identity")], 1, 2,
+                        TruncationConfig(series_order=4000, k_max=1200))
+    return spec, lambda_table(spec.f1, 2, 1200, spec.q_cap)
 
 
 def test_lambda_alpha_zero_column():
@@ -166,8 +177,53 @@ def test_lambda_table_powers_match_per_alpha_power(monkeypatch):
 
 def test_lambda_table_convergence_guard():
     short = geometric_series(0.9, 64)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"^s-series tail 5\.107e-05 "
+                       r">= 1\.0e-12 at k=0, alpha=1; raise the f1 order$"):
         lambda_table(short, 2, 60, 1)
+    growing = series_from([1.1 ** m for m in range(41)], nonneg=True)
+    with pytest.raises(ConvergenceError, match=r"^s-series still growing at "
+                       r"the coefficient boundary \(k=0, alpha=1\); raise "
+                       r"the f1 order$"):
+        lambda_table(growing, 3, 4, 2)
+
+
+def _parity_gapped(d):
+    """Majorants whose parity subsequences hold zeros: even degrees only
+    with a zero constant (leading zeros in f1^alpha), odd degrees only
+    (all-zero subsequences), and a polynomial (sums that end exactly)."""
+    even = series_from([0.5 ** (m // 2) if m and m % 2 == 0 else 0.0
+                        for m in range(201)], nonneg=True)
+    odd = series_from([0.5 ** (m // 2) if m % 2 else 0.0
+                       for m in range(202)], nonneg=True)
+    poly = series_from([0.0, 0.5, 0.0, 0.5], order=40, nonneg=True)
+    return [(f1, d, 12, 4) for f1 in (even, odd, poly)]
+
+
+@pytest.mark.parametrize("case", [
+    "decay", (exp_series(128), 3, 16, 24),
+    *(c for d in (2, 3, 4, 9) for c in _parity_gapped(d))])
+def test_lambda_table_matches_gathered_loop(case, decay_kernel):
+    # the strided log-gamma views, and the skipped compaction of all-positive
+    # subsequences, leave every entry bitwise what the index-array loop gave
+    if case == "decay":
+        spec, table = decay_kernel
+        case = (spec.f1, 2, 1200, spec.q_cap)
+    else:
+        table = lambda_table(*case)
+    lam, tail = gathered_lambda_table(*case)
+    np.testing.assert_array_equal(table.lam, lam)
+    np.testing.assert_array_equal(table.tail, tail)
+    assert (table.lam > 0).any()
+
+
+def test_parity_gapped_cases_reach_every_branch():
+    # across the gapped cases some entries are exact zeros, some sums end
+    # exactly (tail 0) and some are truncated (tail > 0)
+    tables = [lambda_table(*c) for c in _parity_gapped(3)]
+    lam = np.concatenate([t.lam.ravel() for t in tables])
+    tail = np.concatenate([t.tail.ravel() for t in tables])
+    assert (lam == 0).any() and ((lam > 0) & (tail == 0)).any()
+    assert (tail > 0).any()
 
 
 def test_mu_profile_beyond_dstar_is_exact_zero():
@@ -289,6 +345,64 @@ def test_fit_decay_exact_model_recovery():
     assert fit["exponent_p"] == pytest.approx(4.0, abs=1e-9)
     assert fit["gamma"] == pytest.approx(2.0, abs=1e-6)
     assert fit["goodness"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", np.arange(0.25, 8.25, 0.25))
+def test_line_fit_matches_polyfit(p):
+    # np.polyfit is a test-only oracle: slope within 1e-12 relative; the
+    # intercept can sit near zero, so it is held to 1e-12 of the scale of y
+    m = np.arange(1.0, 10 ** 5 + 1)
+    x = m ** (1.0 / p)
+    for y in (2.0 - 0.3 * m ** (1 / 3), 3.0 - 2.0 * m ** 0.25,
+              -0.7 * m ** 0.5 + 0.01 * np.sin(m)):
+        slope, intercept = spectrum._line_fit(x, y)
+        want_slope, want_intercept = np.polyfit(x, y, 1)
+        assert slope == pytest.approx(want_slope, rel=1e-12)
+        assert abs(intercept - want_intercept) <= 1e-12 * np.abs(y).max()
+
+
+def _mercer_entries():
+    """The mercer-reconstruct benchmark kernel's spectrum (83,521
+    eigenvalues; the nystrom kernel's has 20, too few for a fit)."""
+    spec = build_kernel([activation("exp"), activation("exp")], 2, 3,
+                        TruncationConfig(series_order=128, a_max=24, q_max=24))
+    return enumerate_spectrum(spec, lambda_table(spec.f1, 3, 16, spec.q_cap),
+                              16)
+
+
+@pytest.mark.parametrize("name", ["decay", "decay-window", "mercer"])
+def test_fit_decay_picks_the_polyfit_exponent(name, decay_kernel, monkeypatch):
+    if name == "mercer":
+        entries, window = _mercer_entries(), {}
+    else:
+        spec, table = decay_kernel
+        entries = enumerate_spectrum(spec, table, 1200)
+        # the benchmark config's fit_rank_range, as cmd_spectrum clips it
+        window = {"m_min": 20, "m_max": 2401} if name == "decay-window" else {}
+    got = fit_decay(entries, **window)
+    monkeypatch.setattr(spectrum, "_line_fit",
+                        lambda x, y: tuple(np.polyfit(x, y, 1)))
+    want = fit_decay(entries, **window)
+    assert got["exponent_p"] == want["exponent_p"]
+    for key in ("gamma", "goodness", "counting_slope"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12), key
+
+
+def test_fit_decay_needs_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    fit = fit_decay(_mercer_entries())
+    assert np.isfinite(fit["counting_slope"]) and fit["gamma"] > 0
+
+
+def test_factorials_built_once_per_size_and_read_only():
+    fact = spectrum._factorials(7)
+    assert spectrum._factorials(7) is fact
+    assert not fact.flags.writeable
+    np.testing.assert_array_equal(fact, [math.factorial(a) for a in range(7)])
 
 
 def test_fit_decay_guards():

@@ -34,6 +34,14 @@ def test_cauchy_product_identity():
     assert cauchy_product(f, one, 4).coeffs == f.truncated(4).coeffs
 
 
+def test_truncated_to_own_order_is_the_series_itself():
+    f = geometric_series(0.5, 8)
+    assert f.truncated(8) is f
+    assert f.truncated(5).coeffs == f.coeffs[:6]
+    assert f.truncated(10).coeffs == f.coeffs + (0.0, 0.0)
+    assert f.truncated(5).nonneg and f.truncated(10).nonneg
+
+
 def test_power_zero_and_one():
     a = geometric_series(0.5, 8)
     assert power(a, 0, 8).coeffs == (1.0,) + (0.0,) * 8
