@@ -13,13 +13,14 @@ place in two more such tiles, and the finished tile is written into the
 result once. Peak memory is the result plus three tiles, never an (a, b, n)
 tensor or a whole-matrix temporary. `gram` computes only the tiles from
 the diagonal rightward and returns a `SymmetricGram`: the upper row
-blocks, packed at the tail of one ell x ell buffer. A product with a block
-of columns reads them alone, so a Krylov eigensolver keeps about half a
-Gram resident, and `krr.cho_factor` factors the blocks where they lie;
-`SymmetricGram.dense` (or ``np.asarray``) unpacks them in
-place and copies the strict upper triangle into the lower one, so the
-dense Gram is exactly symmetric. The spectral route lives in `spectrum`
-and the two are cross-checked by the Mercer reconstruction tests.
+blocks, back to back in one array of exactly their size. A product with
+a block of columns reads them alone, so a Krylov eigensolver keeps about
+half a Gram resident, and `krr.cho_factor` factors the blocks where they
+lie; `SymmetricGram.dense` (or ``np.asarray``) copies them into a new
+ell x ell array, copies the strict upper triangle into the lower one, so
+the dense Gram is exactly symmetric, and drops the packed array. The
+spectral route lives in `spectrum` and the two are cross-checked by the
+Mercer reconstruction tests.
 """
 
 from __future__ import annotations
@@ -249,31 +250,33 @@ class SymmetricGram:
     """A symmetric ell x ell matrix stored as its upper row blocks.
 
     Block k holds rows r0:r1 and columns r0:ell of the matrix, C-ordered,
-    with its leading (r1 - r0) square full. The blocks lie back to back at
-    the tail of one buffer of ell * ell floats, so while the matrix stays
-    packed the buffer's front half is never written, and its pages need
-    not become resident. ``g @ X`` multiplies block by block.
+    with its leading (r1 - r0) square full. The blocks lie back to back in
+    one array of exactly their total size, about ell^2 / 2 floats: numpy
+    advises huge pages for large arrays, so blocks that started partway
+    into a larger buffer would make the whole 2 MiB page under their start
+    resident. ``g @ X`` multiplies block by block.
 
-    `dense` unpacks the matrix in place into the whole buffer and returns
-    it as the full ell x ell array. ``np.asarray(g)``, and so any numpy
-    function given ``g``, calls it: the conversion changes the object, and
-    two threads must not convert one object at once. After it, the blocks
-    are views of the dense array holding the same values, so ``g @ X`` does
-    the same products as before. The object is not an ndarray: it has
-    ``shape`` and ``@``, and nothing else of the array interface.
+    `dense` allocates the full ell x ell array, copies the blocks into it,
+    mirrors them, rebinds the blocks as views of it and drops the packed
+    array. ``np.asarray(g)``, and so any numpy function given ``g``, calls
+    it: the conversion replaces the object's storage with a new dense
+    array, and two threads must not convert one object at once. After it,
+    the blocks hold the same values, so ``g @ X`` does the same products as
+    before. The object is not an ndarray: it has ``shape`` and ``@``, and
+    nothing else of the array interface.
     """
 
     def __init__(self, ell: int, block: int):
         self.shape = (ell, ell)
-        self._buf = np.empty(ell * ell)
         self._dense = None
         spans = [(r0, min(r0 + block, ell)) for r0 in range(0, ell, block)]
-        at = ell * ell - sum((r1 - r0) * (ell - r0) for r0, r1 in spans)
+        packed = np.empty(sum((r1 - r0) * (ell - r0) for r0, r1 in spans))
         self._blocks = []
+        at = 0
         for r0, r1 in spans:
             size = (r1 - r0) * (ell - r0)
             self._blocks.append(
-                (r0, r1, self._buf[at:at + size].reshape(r1 - r0, ell - r0)))
+                (r0, r1, packed[at:at + size].reshape(r1 - r0, ell - r0)))
             at += size
 
     def __matmul__(self, x):
@@ -289,20 +292,17 @@ class SymmetricGram:
         return a.copy() if copy else a
 
     def dense(self) -> np.ndarray:
-        """The full, exactly symmetric matrix, unpacked in place; a second
-        call returns the same array.
+        """The full, exactly symmetric matrix; a second call returns the
+        same array.
 
-        Block by block from the front, each block's rows are written over
-        the buffer's front, at rows r0:r1 of the ell x ell array, and then
-        the strict upper triangle is mirrored down. A block's destination
-        ends at r1 ell, and the blocks after it start at or past
-        ell^2 - (ell - r1)^2 >= r1 ell, so no unread block is overwritten.
-        Where a block overlaps its own destination (the last ones), numpy
-        copies it through a temporary.
+        The first call copies each block to rows r0:r1, columns r0:ell of
+        a new ell x ell array, mirrors the strict upper triangle down and
+        rebinds the blocks as views of the new array, which releases the
+        packed one. While it runs both are held, about 1.5 ell^2 floats.
         """
         if self._dense is None:
             ell = self.shape[0]
-            G = self._buf.reshape(ell, ell)
+            G = np.empty((ell, ell))
             for r0, r1, B in self._blocks:
                 G[r0:r1, r0:] = B
             _mirror_upper(G)
@@ -315,7 +315,7 @@ class SymmetricGram:
 def gram(spec: KernelSpec, xs) -> SymmetricGram:
     """Symmetric Gram matrix G[i][j] = K(xs[i], xs[j]) of a (count, n, d)
     batch, packed as a `SymmetricGram`. ``np.asarray`` (or
-    `SymmetricGram.dense`) unpacks it in place into the dense array, once
+    `SymmetricGram.dense`) replaces its storage with the dense array, once
     and from one thread; later products give the same bits.
 
     The matrix is stored in row blocks of about GRAM_BLOCK rows, a

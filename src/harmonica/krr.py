@@ -13,22 +13,25 @@ The linear algebra is numpy alone. A fit never unpacks its Gram:
 as G = R^T R in those same upper row blocks, one block of R's rows over
 each block of G's (LAPACK's packed upper Cholesky, `dpptrf`, does the
 same one row at a time). Block i, less the products of the earlier row
-blocks, is formed in one scratch array of one block's rows by ell; its
-diagonal square is factored by `np.linalg.cholesky`, which raises
-`np.linalg.LinAlgError` in whichever block the matrix fails to be
-positive definite (the jitter retry in `rls_fit` catches it), and the
-rest of its row is multiplied by the inverse of that factor. So an RLS
-fit holds the blocks, about half an ell x ell Gram, plus a scratch array
-and the block inverses of about 128 x ell floats each: a learning curve
-at ell = 8000 peaks at about 304 MiB, against 535 MiB with the Gram
-unpacked (one OpenBLAS thread, 2-core x86-64 Linux). At ell = 1600 R
-agrees with `np.linalg.cholesky` within 1e-13 of the largest entry (a
-test holds it there). `cho_solve` runs the forward pass R^T z = b and
-the back pass R x = z over the same blocks: each diagonal block is one
-product with a kept inverse, and each off-diagonal update one
-matrix-vector product. On well-conditioned SPD systems it agrees with a
-dense `np.linalg.solve` to 1e-12 relative for ell up to 1600, including
-sizes that are not multiples of the block. As G is gone once it is
+blocks, is formed in place, PANEL_COLS columns at a time through one
+scratch array of one block's rows by PANEL_COLS; its diagonal square is
+factored by `np.linalg.cholesky`, which raises `np.linalg.LinAlgError`
+in whichever block the matrix fails to be positive definite (the jitter
+retry in `rls_fit` catches it), the rest of its row is multiplied by the
+inverse of that factor, again PANEL_COLS columns at a time, and the
+inverse is stored in the diagonal square, where no later block reads.
+So an RLS fit holds the blocks, about half an ell x ell Gram, plus a
+128 x 512 scratch array: at ell = 1600 its peak rises by about 11.7 MiB
+for a 19.5 MiB dense Gram, and a learning curve at ell = 8000 peaks at
+about 287 MiB, against 535 MiB with the Gram unpacked (one OpenBLAS
+thread, 2-core x86-64 Linux). At ell = 1600 R agrees with
+`np.linalg.cholesky` within 1e-13 of the largest entry (a test holds it
+there). `cho_solve` runs the forward pass R^T z = b and the back pass
+R x = z over the same blocks: each diagonal block is one product with a
+stored inverse, and each off-diagonal update one matrix-vector product.
+On well-conditioned SPD systems it agrees with a dense `np.linalg.solve`
+to 1e-12 relative for ell up to 1600, including sizes that are not
+multiples of the block or of PANEL_COLS. As G is gone once it is
 factored, the fitted values are y - lambda ell c, which is G c up to the
 solve's residual (see `FitResult`).
 
@@ -80,56 +83,72 @@ BLOCK = 128
 EIG_TOL = 1e-10
 # the Krylov route of eigvalsh may cost at most this share of the dense route
 KRYLOV_SHARE = 0.25
+# Columns per chunk of cho_factor's panel products: the chunk's scratch,
+# and the panel OpenBLAS packs for it, are one block's rows by this many
+# columns, not by ell. The benchmark learning curve peaked at 50.0 MiB
+# unchunked, 49.4 with chunks of 1024, 49.1 with 512 and 48.9 with 256
+# (2-core x86-64 Linux, one OpenBLAS thread). numpy subtracts a strided
+# chunk more slowly than a whole block, so an ell = 1600 factorization
+# took about 44-46 ms of CPU in chunks of 512 or 256 against about 40 ms
+# unchunked (best of 21).
+PANEL_COLS = 512
 
 
-def cho_factor(g: SymmetricGram) -> tuple:
-    """Factor the packed SPD matrix g = R^T R in g's own storage.
+def cho_factor(g: SymmetricGram) -> SymmetricGram:
+    """Factor the packed SPD matrix g = R^T R in g's own storage; returns g.
 
-    Returns ``(g, inverses)``: block i of g, rows r0:r1 and columns
-    r0:ell, now holds row block i of the upper triangular R (its diagonal
-    square R_ii with zeros below the diagonal), and ``inverses[i]`` is
-    R_ii^-T, the lower triangular inverse `cho_solve` multiplies by.
-    Left-looking by row block, as LAPACK's packed `dpptrf` is by row: the
-    block less the products of the earlier row blocks' columns r0:ell,
-    formed in one scratch array of one block's rows by ell, then its
-    diagonal square factored by `np.linalg.cholesky` and the rest of the
-    row multiplied by the inverse of that factor. Nothing outside the
-    blocks is read or written. On a `np.linalg.LinAlgError` (a matrix that
-    is not positive definite, in whichever block the failure shows) the
-    blocks are part matrix, part factor.
+    Block i of g, rows r0:r1 and columns r0:ell, then holds row block i of
+    the upper triangular R, except its diagonal square: that holds
+    R_ii^-T, the lower triangular inverse (zeros above the diagonal)
+    `cho_solve` multiplies by, as nothing reads R_ii once its block is
+    done. Left-looking by row block, as LAPACK's packed `dpptrf` is by
+    row: the block less the products of the earlier row blocks' columns
+    r0:ell, then its diagonal square factored by `np.linalg.cholesky` and
+    the rest of the row multiplied by the inverse of that factor. Both
+    products run in column chunks of at most PANEL_COLS through one
+    scratch array of one block's rows by PANEL_COLS, which also bounds the
+    panels OpenBLAS packs. Nothing outside the blocks is read or written.
+    On a `np.linalg.LinAlgError` (a matrix that is not positive definite,
+    in whichever block the failure shows) the blocks are part matrix,
+    part factor.
     """
-    ell = g.shape[0]
     width = max((r1 - r0 for r0, r1, _ in g._blocks), default=0)
-    scratch = np.empty(width * ell)
-    inverses = []
+    scratch = np.empty(width * min(PANEL_COLS, g.shape[0]))
+
+    def chunks(B, start):
+        """(c0, c1, T) for the column chunks of B from ``start`` on, T a
+        scratch array of B's rows by c1 - c0 columns."""
+        for c0 in range(start, B.shape[1], PANEL_COLS):
+            c1 = min(c0 + PANEL_COLS, B.shape[1])
+            yield c0, c1, scratch[:len(B) * (c1 - c0)].reshape(len(B), -1)
+
     for i, (r0, r1, B) in enumerate(g._blocks):
         w = r1 - r0
-        T = scratch[:w * (ell - r0)].reshape(w, ell - r0)
-        for q0, _, Q in g._blocks[:i]:
-            np.matmul(Q[:, r0 - q0:r1 - q0].T, Q[:, r0 - q0:], out=T)
-            B -= T
-        L = np.linalg.cholesky(B[:, :w])
-        inverse = np.linalg.inv(L)
-        np.matmul(inverse, B[:, w:], out=T[:, w:])
-        B[:, w:] = T[:, w:]
-        B[:, :w] = L.T
-        inverses.append(inverse)
-    return g, inverses
+        for c0, c1, T in chunks(B, 0):
+            for q0, _, Q in g._blocks[:i]:
+                np.matmul(Q[:, r0 - q0:r1 - q0].T,
+                          Q[:, r0 - q0 + c0:r0 - q0 + c1], out=T)
+                B[:, c0:c1] -= T
+        inverse = np.linalg.inv(np.linalg.cholesky(B[:, :w]))
+        for c0, c1, T in chunks(B, w):
+            B[:, c0:c1] = np.matmul(inverse, B[:, c0:c1], out=T)
+        B[:, :w] = inverse
+    return g
 
 
-def cho_solve(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve (R^T R) x = b for the ``(g, inverses)`` that `cho_factor`
-    returns: a forward pass R^T z = b and a back pass R x = z, block by
-    block. Each diagonal block is one product with R_ii^-T or its
-    transpose, and each off-diagonal update one product with the rest of
-    a row block of R."""
-    g, inverses = factor
+def cho_solve(g: SymmetricGram, b: np.ndarray) -> np.ndarray:
+    """Solve (R^T R) x = b for the g that `cho_factor` returns: a forward
+    pass R^T z = b and a back pass R x = z, block by block. Each diagonal
+    block is one product with R_ii^-T, kept in the block's diagonal
+    square, or its transpose, and each off-diagonal update one product
+    with the rest of a row block of R."""
     x = np.array(b, dtype=float)
-    for (r0, r1, B), inverse in zip(g._blocks, inverses):  # R^T z = b
-        x[r0:r1] = inverse @ x[r0:r1]
+    for r0, r1, B in g._blocks:  # R^T z = b
+        x[r0:r1] = B[:, :r1 - r0] @ x[r0:r1]
         x[r1:] -= B[:, r1 - r0:].T @ x[r0:r1]
-    for (r0, r1, B), inverse in zip(g._blocks[::-1], inverses[::-1]):
-        x[r0:r1] = inverse.T @ (x[r0:r1] - B[:, r1 - r0:] @ x[r1:])  # R x = z
+    for r0, r1, B in g._blocks[::-1]:  # R x = z
+        w = r1 - r0
+        x[r0:r1] = B[:, :w].T @ (x[r0:r1] - B[:, w:] @ x[r1:])
     return x
 
 
@@ -201,7 +220,8 @@ def eigvalsh(a, k: int) -> np.ndarray:
     ``a`` is an ndarray or a packed `kernel.SymmetricGram`: the Krylov
     route only multiplies it by blocks of columns, which a packed Gram
     does from its upper row blocks, and the dense route takes
-    ``np.asarray(a)``, which unpacks one in place.
+    ``np.asarray(a)``, which replaces a packed Gram's storage with a new
+    dense array.
 
     Randomized block Krylov with Rayleigh-Ritz. A block of
     b = max(2k, k + 8) columns from ``np.random.default_rng(0)`` starts an
@@ -346,10 +366,11 @@ def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
     """Solve (G + lambda l I) c = y by Cholesky, with one jitter retry.
 
     G stays packed: the ridge, and on a retry the jitter, go onto the
-    diagonal of its upper row blocks, and `cho_factor` writes R over the
-    blocks, so a fit holds about half an ell x ell Gram and never unpacks
-    it. The fitted values are y - shift c (see `FitResult`), as G itself
-    is factored by then. A failed factorization leaves the blocks part
+    diagonal of its upper row blocks, and `cho_factor` writes R, with
+    R_ii^-T in place of each diagonal block R_ii, over the blocks, so a
+    fit holds about half an ell x ell Gram and never unpacks it. The
+    fitted values are y - shift c (see `FitResult`), as G itself is
+    factored by then. A failed factorization leaves the blocks part
     factor, so the retry and the condition number of a fit that fails
     twice each rebuild the Gram through `gram`.
     """

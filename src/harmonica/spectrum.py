@@ -301,6 +301,15 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, y_mean - slope * x_mean
 
 
+def _distinct_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending array a, in order:
+    ``np.unique(a)`` for sorted input, without the sort (and without the
+    ``numpy.ma`` import that ``np.unique`` pulls in)."""
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def counting_slope(entries: list, rank_lo: int = 20, rank_hi: int = 2000,
                    grid: int = 40) -> float:
     """Slope of log N(lam) against log log(1/lam) over a rank window.
@@ -314,8 +323,8 @@ def counting_slope(entries: list, rank_lo: int = 20, rank_hi: int = 2000,
     if rank_hi <= rank_lo:
         raise FitError("not enough eigenvalues for the counting regression")
     mus = mus / mus[0]
-    ranks = np.unique(np.geomspace(rank_lo, rank_hi, grid).astype(int))
-    lam_grid = np.unique(mus[ranks])
+    ranks = _distinct_sorted(np.geomspace(rank_lo, rank_hi, grid).astype(int))
+    lam_grid = _distinct_sorted(mus[ranks][::-1])  # mus is non-increasing
     # a ratio that underflows to 0 has no double log
     lam_grid = lam_grid[(lam_grid > 0.0) & (lam_grid < 1.0)]
     counts = np.array([np.count_nonzero(mus >= lam) for lam in lam_grid])

@@ -81,7 +81,8 @@ def unpack(g) -> np.ndarray:
     """A new dense array holding the blocks of the packed g at rows r0:r1,
     columns r0:ell, and zeros below them; g is not changed. For a packed
     symmetric matrix that is its upper triangle (and each block's whole
-    diagonal square), for a factor from `krr.cho_factor` it is R."""
+    diagonal square); for a factor from `krr.cho_factor` it is R with
+    each diagonal block R_ii replaced by R_ii^-T."""
     ell = g.shape[0]
     a = np.zeros((ell, ell))
     for r0, r1, B in g._blocks:

@@ -759,10 +759,11 @@ def test_config_hash_is_hashlib_sha256_on_json_documents(cfg):
                     reason="reads VmHWM from /proc/self/status")
 def test_spectrum_command_loads_no_openssl(tmp_path):
     # with the interpreter's own SHA-256 available, the spectrum command on
-    # the benchmark config never loads OpenSSL (hashlib's _hashlib), and no
-    # least-squares fit pages in LAPACK: from numpy's import to the end of
-    # the run the peak resident memory rose by about 5.9 MiB, against about
-    # 10.4 MiB with hashlib and np.polyfit
+    # the benchmark config never loads OpenSSL (hashlib's _hashlib), no
+    # least-squares fit pages in LAPACK, and no np.unique loads numpy.ma:
+    # from numpy's import to the end of the run the peak resident memory
+    # rose by about 5.1 MiB, against about 5.9 MiB with np.unique and
+    # 10.4 MiB with hashlib and np.polyfit as well
     config = PERFBENCH_CONFIGS / "spectrum-decay.json"
     out = tmp_path / "decay.csv"
     rise = peak_rise(["import importlib.util, sys", "import numpy"], "\n".join([
@@ -772,6 +773,7 @@ def test_spectrum_command_loads_no_openssl(tmp_path):
         "builtin = any(importlib.util.find_spec(m)",
         "              for m in ('_sha2', '_sha256'))",
         "assert not (builtin and '_hashlib' in sys.modules), 'OpenSSL loaded'",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'",
     ]))
     assert out.exists() and out.with_suffix(".json").exists()
     assert rise <= 8 * 2 ** 20, rise / 2 ** 20

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -297,25 +298,20 @@ def test_packed_gram_product_matches_dense_product():
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
-def test_dense_unpacks_in_place_once():
-    """dense() returns the packed Gram's own buffer, allocates no second
-    Gram-sized array, and a second call (or np.asarray) is the same array;
-    products give the same bits before and after it."""
+def test_dense_copies_blocks_and_releases_packed_array():
+    """dense() copies the blocks into a new array and drops the packed
+    one; a second call (or np.asarray) is the same array, and products
+    give the same bits before and after it."""
     spec = build_kernel([activation("exp"), activation("exp")], 2, 3)
     xs = sample_uniform_batch(1000, 2, 3, 9)
     g = gram(spec, xs)
     x = np.random.default_rng(1).standard_normal((1000, 3))
-    packed = g @ x
-    tracemalloc.start()
-    try:
-        G = g.dense()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the mirror's 128 x 128 diagonal tile, or an overlapping block's
-    # temporary (the last block, 104 x 104); the Gram is 7.6 MiB
-    assert peak <= 2 ** 18
-    assert np.shares_memory(G, g._buf)
+    before = g @ x
+    packed = weakref.ref(g._blocks[0][2].base)
+    assert all(B.base is packed() for _, _, B in g._blocks)
+    G = g.dense()
+    assert packed() is None  # nothing holds the packed array any more
     assert g.dense() is G and np.asarray(g) is G
+    assert all(np.shares_memory(B, G) for _, _, B in g._blocks)
     assert G.tobytes() == dense_gram(spec, xs).tobytes()
-    assert (g @ x).tobytes() == packed.tobytes()
+    assert (g @ x).tobytes() == before.tobytes()

@@ -77,33 +77,38 @@ def test_prediction_linear_in_labels():
                                2.0 * predict(spec, fit1, q), atol=1e-10)
 
 
-def _free_front(g):
-    """The front of a packed matrix's buffer, which no block covers."""
-    return g._buf[:g._buf.size - sum(B.size for _, _, B in g._blocks)]
-
-
-@pytest.mark.parametrize("ell", [1, 127, 128, 129, 255, 256, 257, 513, 1600])
+@pytest.mark.parametrize("ell", [1, 127, 128, 129, 255, 256, 257, 511, 512,
+                                 513, 1025, 1600])
 def test_blocked_cho_solve_matches_dense_solve(ell):
     # sizes on, just below and just past multiples of the block, for the
-    # blocked factor and the blocked substitutions
+    # blocked factor and the blocked substitutions, and of the panel chunk
+    # (PANEL_COLS = 512): at ell = 1025 the row blocks at rows 384 and 512
+    # (641 and 513 columns wide) end their inverse product and their
+    # update in a chunk of one column
+    assert krr.PANEL_COLS == 512
     rng = np.random.default_rng(ell)
     X = rng.standard_normal((ell, ell))
     A = X @ X.T / ell + np.eye(ell)
     b = rng.standard_normal(ell)
     b0 = b.copy()
     g = pack(A, 128)
-    _free_front(g)[:] = np.nan
-    factor = krr.cho_factor(g)
-    assert factor[0] is g  # factored in place
+    assert krr.cho_factor(g) is g  # factored in place
     ref = np.linalg.cholesky(A).T
-    assert np.abs(unpack(g) - ref).max() <= 1e-13 * np.abs(ref).max()
-    got = krr.cho_solve(factor, b)
+    scale = np.abs(ref).max()
+    for r0, r1, B in g._blocks:
+        w = r1 - r0
+        # the rest of the row block is R's
+        assert np.abs(B[:, w:] - ref[r0:r1, r1:]).max(initial=0.0) \
+            <= 1e-13 * scale
+        # the diagonal square is R_ii^-T, lower triangular; times R_ii^T
+        # it is I within 1e-14 (measured: at most 4.4e-16, at ell = 1600)
+        assert not np.triu(B[:, :w], 1).any()
+        assert np.abs(B[:, :w] @ ref[r0:r1, r0:r1].T - np.eye(w)).max() \
+            <= 1e-14
+    got = krr.cho_solve(g, b)
     want = np.linalg.solve(A, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.array_equal(b, b0)  # the right-hand side is not overwritten
-    # only the blocks are read and written: the NaNs in the buffer's front
-    # are still there, and none reached the solution
-    assert np.isnan(_free_front(g)).all()
 
 
 def test_cho_factor_refuses_indefinite_matrix():
@@ -134,10 +139,11 @@ def test_cho_factor_refuses_failure_in_last_block():
 def test_rls_fit_holds_gram_only():
     """A fit keeps the Gram packed and factors it in its own blocks: the
     rise of the peak resident memory stays under half the 19.5 MiB dense
-    Gram plus 8 MiB (the diagonal squares, 0.8 MiB; the factor's scratch
-    and block inverses, 1.6 MiB each; huge-page rounding and the rest).
-    It rose by about 15.6 MiB; with the dense Gram factored in place it
-    rose by about 21.9 MiB."""
+    Gram plus 3 MiB (the diagonal squares, 0.8 MiB; the factor's 0.5 MiB
+    panel scratch and the rest). It rose by about 11.7 MiB; with the
+    blocks at the tail of an ell x ell buffer, a 128 x ell scratch and the
+    block inverses kept apart it rose by about 15.5 MiB, and with the
+    dense Gram factored in place by about 21.9 MiB."""
     ell = 1600
     rise = peak_rise([
         "import numpy as np",
@@ -153,7 +159,7 @@ def test_rls_fit_holds_gram_only():
         "rls_fit(spec, data(40), 1e-3)",  # loads what a fit uses
         f"train = data({ell})",
     ], "rls_fit(spec, train, 1e-3)")
-    assert rise <= 0.5 * ell * ell * 8 + 8 * 2 ** 20, rise / 2 ** 20
+    assert rise <= 0.5 * ell * ell * 8 + 3 * 2 ** 20, rise / 2 ** 20
 
 
 def _check_fitted(fit, ys, shift, G):
@@ -370,8 +376,10 @@ def test_nystrom_top_k_matches_full_eigvalsh():
 def test_nystrom_keeps_half_a_gram_resident():
     """On the Krylov route (the benchmark's ell = 2000 rank-20 Gram) the
     Gram stays packed: the rise of the peak resident memory of
-    nystrom_eigs stays under half the 30.5 MiB dense Gram plus 12 MiB for
-    the rest (about 20 MiB; the dense Gram rose by about 33 MiB)."""
+    nystrom_eigs stays under half the 30.5 MiB dense Gram plus 4 MiB for
+    the diagonal squares (1 MiB), the basis and the rest. It rose by about
+    18.2 MiB; with the blocks at the tail of an ell x ell buffer by about
+    20.3 MiB, and with the dense Gram by about 33 MiB."""
     ell = 2000
     rise = peak_rise([
         "from harmonica.activations import activation",
@@ -381,7 +389,31 @@ def test_nystrom_keeps_half_a_gram_resident():
         " 2, 3)",
         "nystrom_eigs(spec, 40, 10, seed=1)",  # loads what a run uses
     ], f"nystrom_eigs(spec, {ell}, 10, seed=0)")
-    assert rise <= 0.5 * ell * ell * 8 + 12 * 2 ** 20, rise / 2 ** 20
+    assert rise <= 0.5 * ell * ell * 8 + 4 * 2 ** 20, rise / 2 ** 20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_dense_eigvalsh_route_peak():
+    """The dense route unpacks the packed Gram into a new array while the
+    packed one is still held, and np.linalg.eigvalsh copies its input, so
+    at ell = 2000 its peak rises by about two dense Grams (61.0 MiB). It
+    rose by about 62.3 MiB; with the blocks unpacked in place at the tail
+    of an ell x ell buffer by about 62.5 MiB, which the bound allows
+    1 MiB over."""
+    ell = 2000
+    rise = peak_rise([
+        "from harmonica import krr",
+        "from harmonica.activations import activation",
+        "from harmonica.image import sample_uniform_batch",
+        "from harmonica.kernel import build_kernel",
+        "spec = build_kernel([activation('identity'), activation('square')],"
+        " 2, 3)",
+        "krr.KRYLOV_SHARE = 0.0",  # no Krylov step: straight to dense
+        "krr.eigvalsh(krr.gram(spec, sample_uniform_batch(40, 2, 3, 1)), 10)",
+        f"xs = sample_uniform_batch({ell}, 2, 3, 0)",
+    ], "krr.eigvalsh(krr.gram(spec, xs), 10)")
+    assert rise <= 2 * ell * ell * 8 + 2.5 * 2 ** 20, rise / 2 ** 20
 
 
 def _psd_with_spectrum(eigs, seed):

@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmonica.activations import activation
 from harmonica.errors import ConvergenceError, FitError, TruncationError
@@ -396,6 +397,31 @@ def test_fit_decay_needs_no_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     fit = fit_decay(_mercer_entries())
     assert np.isfinite(fit["counting_slope"]) and fit["gamma"] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-5, 5) | st.floats(-2.0, 2.0), max_size=40))
+def test_distinct_sorted_is_unique_of_sorted_input(values):
+    a = np.sort(np.array(values, dtype=float))
+    ints = a.astype(int)  # sorted still, with more repeats
+    for x in (a, ints):
+        got, want = spectrum._distinct_sorted(x), np.unique(x)
+        # array_equal, not bytes: np.unique may keep 0.0 where -0.0 came first
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["decay", "mercer"])
+def test_counting_slope_matches_unique_grid(name, decay_kernel, monkeypatch):
+    # the rank grid and the eigenvalue grid are monotone, so dropping
+    # consecutive repeats gives np.unique's grids, and the same slope
+    if name == "mercer":
+        entries = _mercer_entries()
+    else:
+        spec, table = decay_kernel
+        entries = enumerate_spectrum(spec, table, 1200)
+    got = spectrum.counting_slope(entries)
+    monkeypatch.setattr(spectrum, "_distinct_sorted", np.unique)
+    assert got == spectrum.counting_slope(entries)
 
 
 def test_factorials_built_once_per_size_and_read_only():
