@@ -18,6 +18,7 @@ import numpy as np
 
 from .activations import evaluate
 from .errors import StructuralError
+from .image import default_rng
 
 BOUNDARY_MODES = ("circular", "valid")
 
@@ -171,7 +172,7 @@ def random_params(n: int, d: int, filters, patch_sizes=(), seed=0,
     n_sizes = [n]
     for k in range(N - 1):
         n_sizes.append(next_patch_count(n_sizes[k], d_sizes[k + 1], boundary))
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     weights = [rng.standard_normal((p_sizes[k + 1], d_sizes[k] * p_sizes[k]))
                / math.sqrt(d_sizes[k] * p_sizes[k])
                for k in range(N)]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,10 @@ import numpy as np
 from .errors import DegeneratePatchError, StructuralError
 
 NORM_TOL = 1e-12
+
+# held while default_rng checks for numpy.random and may import it: the
+# learning curve samples from several threads
+_RANDOM_IMPORT = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,37 @@ def extract_patches(img: Image, cfg: PatchConfig) -> np.ndarray:
     return unit_patches(rows)
 
 
+def default_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, with numpy.random imported without
+    OpenSSL.
+
+    numpy.random imports `secrets`, and through it `hmac` and `hashlib`,
+    which load OpenSSL's libcrypto (`_hashlib`, about 3.5 MiB resident)
+    for `secrets.randbits`, which numpy calls only for an unseeded
+    generator. So on the first call, while neither numpy.random nor
+    `_hashlib` is loaded, numpy.random is imported with
+    ``sys.modules["_hashlib"]`` set to None, which makes that import raise
+    ImportError and `hmac` and `hashlib` fall back to the interpreter's
+    built-in digests. The sentinel is then removed, and so are `hashlib`,
+    `hmac` and `secrets` if that import added them, so a later
+    ``import hashlib`` gets the OpenSSL-backed module. The generator is
+    the one ``np.random.default_rng(seed)`` gives, draw for draw; an
+    unseeded one still seeds itself from the operating system.
+    """
+    with _RANDOM_IMPORT:
+        if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+            added = [m for m in ("hashlib", "hmac", "secrets")
+                     if m not in sys.modules]
+            sys.modules["_hashlib"] = None
+            try:
+                import numpy.random
+            finally:
+                del sys.modules["_hashlib"]
+                for m in added:
+                    sys.modules.pop(m, None)
+    return np.random.default_rng(seed)
+
+
 def sample_uniform(n: int, d: int, seed) -> np.ndarray:
     """n independent uniform points on S^{d-1}, an (n, d) array,
     deterministic per seed (row 0 of the batch of one)."""
@@ -144,8 +180,7 @@ def sample_uniform_batch(count: int, n: int, d: int, seed) -> np.ndarray:
     """
     if n < 1 or d < 2:
         raise ValueError("need n >= 1 and d >= 2")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, n, d))
+    g = default_rng(seed).standard_normal((count, n, d))
     for rows in _row_chunks(g):
         norms = np.linalg.norm(rows, axis=-1, keepdims=True)
         # an exact zero draw is astronomically unlikely; guard anyway

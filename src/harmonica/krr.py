@@ -13,17 +13,19 @@ The linear algebra is numpy alone. A fit never unpacks its Gram:
 as G = R^T R in those same upper row blocks, one block of R's rows over
 each block of G's (LAPACK's packed upper Cholesky, `dpptrf`, does the
 same one row at a time). Block i, less the products of the earlier row
-blocks, is formed in place, PANEL_COLS columns at a time through one
-scratch array of one block's rows by PANEL_COLS; its diagonal square is
-factored by `np.linalg.cholesky`, which raises `np.linalg.LinAlgError`
-in whichever block the matrix fails to be positive definite (the jitter
-retry in `rls_fit` catches it), the rest of its row is multiplied by the
-inverse of that factor, again PANEL_COLS columns at a time, and the
-inverse is stored in the diagonal square, where no later block reads.
-So an RLS fit holds the blocks, about half an ell x ell Gram, plus a
-128 x 512 scratch array: at ell = 1600 its peak rises by about 11.7 MiB
+blocks, is formed PANEL_COLS columns at a time: each chunk is copied
+once into a contiguous scratch array of one block's rows by PANEL_COLS,
+the products are subtracted there and the result is copied back. Its
+diagonal square is factored by `np.linalg.cholesky`, which raises
+`np.linalg.LinAlgError` in whichever block the matrix fails to be
+positive definite (the jitter retry in `rls_fit` catches it), the rest of
+its row is multiplied by the inverse of that factor, again PANEL_COLS
+columns at a time, and the inverse is stored in the diagonal square,
+where no later block reads.
+So an RLS fit holds the blocks, about half an ell x ell Gram, plus two
+128 x 512 scratch arrays: at ell = 1600 its peak rises by about 12.2 MiB
 for a 19.5 MiB dense Gram, and a learning curve at ell = 8000 peaks at
-about 287 MiB, against 535 MiB with the Gram unpacked (one OpenBLAS
+about 284 MiB, against 535 MiB with the Gram unpacked (one OpenBLAS
 thread, 2-core x86-64 Linux). At ell = 1600 R agrees with
 `np.linalg.cholesky` within 1e-13 of the largest entry (a test holds it
 there). `cho_solve` runs the forward pass R^T z = b and the back pass
@@ -70,7 +72,7 @@ from .errors import SolverError
 # zonal_poly_table is unused here; perfbench/layers.py wraps the name on
 # this module
 from .harmonics import sphere_surface, zonal_features, zonal_poly_table
-from .image import sample_uniform_batch
+from .image import default_rng, sample_uniform_batch
 from .kernel import KernelSpec, SymmetricGram, _batch, cross_gram, gram
 from .spectrum import (LambdaTable, canonical_profile, expand_spectrum,
                        mu_eigenvalue)
@@ -87,10 +89,12 @@ KRYLOV_SHARE = 0.25
 # and the panel OpenBLAS packs for it, are one block's rows by this many
 # columns, not by ell. The benchmark learning curve peaked at 50.0 MiB
 # unchunked, 49.4 with chunks of 1024, 49.1 with 512 and 48.9 with 256
-# (2-core x86-64 Linux, one OpenBLAS thread). numpy subtracts a strided
-# chunk more slowly than a whole block, so an ell = 1600 factorization
-# took about 44-46 ms of CPU in chunks of 512 or 256 against about 40 ms
-# unchunked (best of 21).
+# (2-core x86-64 Linux, one OpenBLAS thread; one scratch array, with
+# OpenSSL loaded). numpy subtracts from a strided chunk about 4x more
+# slowly than from a contiguous array, so cho_factor updates a contiguous
+# copy of each chunk: at ell = 4000 the update products took a median
+# 0.52 s that way against 0.58 s subtracting from the strided chunks, and
+# 0.46 s unchunked.
 PANEL_COLS = 512
 
 
@@ -105,32 +109,44 @@ def cho_factor(g: SymmetricGram) -> SymmetricGram:
     row: the block less the products of the earlier row blocks' columns
     r0:ell, then its diagonal square factored by `np.linalg.cholesky` and
     the rest of the row multiplied by the inverse of that factor. Both
-    products run in column chunks of at most PANEL_COLS through one
-    scratch array of one block's rows by PANEL_COLS, which also bounds the
-    panels OpenBLAS packs. Nothing outside the blocks is read or written.
+    products run in column chunks of at most PANEL_COLS through a scratch
+    array of one block's rows by PANEL_COLS, which also bounds the panels
+    OpenBLAS packs; the update copies each chunk once into a second such
+    array, subtracts there in the order the blocks come and copies it
+    back, which gives bitwise the factor that subtracting from the chunk
+    in place gives. Nothing outside the blocks is read or written.
     On a `np.linalg.LinAlgError` (a matrix that is not positive definite,
     in whichever block the failure shows) the blocks are part matrix,
     part factor.
     """
     width = max((r1 - r0 for r0, r1, _ in g._blocks), default=0)
-    scratch = np.empty(width * min(PANEL_COLS, g.shape[0]))
+    scratch = np.empty((2, width * min(PANEL_COLS, g.shape[0])))
 
     def chunks(B, start):
-        """(c0, c1, T) for the column chunks of B from ``start`` on, T a
-        scratch array of B's rows by c1 - c0 columns."""
+        """(c0, c1, T, A) for the column chunks of B from ``start`` on, T
+        and A two contiguous scratch arrays of B's rows by c1 - c0
+        columns."""
         for c0 in range(start, B.shape[1], PANEL_COLS):
             c1 = min(c0 + PANEL_COLS, B.shape[1])
-            yield c0, c1, scratch[:len(B) * (c1 - c0)].reshape(len(B), -1)
+            size = len(B) * (c1 - c0)
+            yield (c0, c1, scratch[0, :size].reshape(len(B), -1),
+                   scratch[1, :size].reshape(len(B), -1))
 
     for i, (r0, r1, B) in enumerate(g._blocks):
         w = r1 - r0
-        for c0, c1, T in chunks(B, 0):
-            for q0, _, Q in g._blocks[:i]:
-                np.matmul(Q[:, r0 - q0:r1 - q0].T,
-                          Q[:, r0 - q0 + c0:r0 - q0 + c1], out=T)
-                B[:, c0:c1] -= T
+        if i:
+            # a strided chunk of B is copied into A once, and the updates
+            # subtracted there: numpy subtracts from a contiguous array
+            # several times faster than from a strided view
+            for c0, c1, T, A in chunks(B, 0):
+                np.copyto(A, B[:, c0:c1])
+                for q0, _, Q in g._blocks[:i]:
+                    np.matmul(Q[:, r0 - q0:r1 - q0].T,
+                              Q[:, r0 - q0 + c0:r0 - q0 + c1], out=T)
+                    A -= T
+                B[:, c0:c1] = A
         inverse = np.linalg.inv(np.linalg.cholesky(B[:, :w]))
-        for c0, c1, T in chunks(B, w):
+        for c0, c1, T, _ in chunks(B, w):
             B[:, c0:c1] = np.matmul(inverse, B[:, c0:c1], out=T)
         B[:, :w] = inverse
     return g
@@ -224,7 +240,7 @@ def eigvalsh(a, k: int) -> np.ndarray:
     dense array.
 
     Randomized block Krylov with Rayleigh-Ritz. A block of
-    b = max(2k, k + 8) columns from ``np.random.default_rng(0)`` starts an
+    b = max(2k, k + 8) columns from ``image.default_rng(0)`` starts an
     orthonormal basis V, so each call is bitwise deterministic and draws on
     no caller's random stream. Each step multiplies the newest block by a
     (one product per step), takes the Ritz pairs (theta_i, y_i) of
@@ -254,7 +270,7 @@ def eigvalsh(a, k: int) -> np.ndarray:
     ell = a.shape[0]
     b = max(2 * k, k + 8)
     cap = _krylov_columns(ell, b)
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     V = np.empty((ell, cap), order="F")  # orthonormal Krylov basis
     W = np.empty((ell, cap), order="F")  # a @ V
     H = np.empty((cap, cap))             # V^T a V

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import harmonica
-from harmonica import kernel
+from harmonica import kernel, krr
 from harmonica.errors import ConvergenceError
 from harmonica.harmonics import _jacobi_nodes, sphere_surface, zonal_poly_table
 from harmonica.kernel import KernelSpec, SymmetricGram, TruncationConfig, gram
@@ -90,6 +90,32 @@ def unpack(g) -> np.ndarray:
     return a
 
 
+def strided_cho_factor(g: SymmetricGram) -> SymmetricGram:
+    """`krr.cho_factor` by its earlier loop, which subtracts each earlier
+    block's product from the strided chunk of the block itself; the
+    operations and their order are the same, so the factor is too."""
+    width = max((r1 - r0 for r0, r1, _ in g._blocks), default=0)
+    scratch = np.empty(width * min(krr.PANEL_COLS, g.shape[0]))
+
+    def chunks(B, start):
+        for c0 in range(start, B.shape[1], krr.PANEL_COLS):
+            c1 = min(c0 + krr.PANEL_COLS, B.shape[1])
+            yield c0, c1, scratch[:len(B) * (c1 - c0)].reshape(len(B), -1)
+
+    for i, (r0, r1, B) in enumerate(g._blocks):
+        w = r1 - r0
+        for c0, c1, T in chunks(B, 0):
+            for q0, _, Q in g._blocks[:i]:
+                np.matmul(Q[:, r0 - q0:r1 - q0].T,
+                          Q[:, r0 - q0 + c0:r0 - q0 + c1], out=T)
+                B[:, c0:c1] -= T
+        inverse = np.linalg.inv(np.linalg.cholesky(B[:, :w]))
+        for c0, c1, T in chunks(B, w):
+            B[:, c0:c1] = np.matmul(inverse, B[:, c0:c1], out=T)
+        B[:, :w] = inverse
+    return g
+
+
 def peak_rise(lines, call):
     """Bytes the peak resident memory of a fresh interpreter rises by
     while it runs ``call``, after running ``lines``.
@@ -107,14 +133,21 @@ def peak_rise(lines, call):
         call,
         "print((peak() - before) * 1024)",
     ])
+    return int(run_fresh(script, OPENBLAS_NUM_THREADS="1"))
+
+
+def run_fresh(script: str, **env) -> str:
+    """What a fresh interpreter, with this harmonica importable and
+    ``env`` added to the environment, prints running ``script``; its
+    exit status must be 0."""
     src = str(Path(harmonica.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+    env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join(
                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
+    return proc.stdout
 
 
 def gathered_lambda_table(f1, d: int, k_max: int, a_max: int,

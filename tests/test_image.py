@@ -9,7 +9,7 @@ from harmonica.image import (NORM_TOL, Image, PatchConfig, extract_patches,
                              load_image_text, sample_uniform,
                              sample_uniform_batch, unit_patches)
 
-from helpers import save_image_text
+from helpers import run_fresh, save_image_text
 
 
 def test_extract_all_ones():
@@ -126,6 +126,96 @@ def test_sample_uniform_batch_holds_two_copies():
     assert peak <= 2 * batch.nbytes + 2 ** 22, peak / batch.nbytes
     g = np.random.default_rng(seed).standard_normal((count, n, d))
     assert np.array_equal(batch, g / np.linalg.norm(g, axis=-1, keepdims=True))
+
+
+# the widely published HMAC-SHA256 of this message under the key "key"
+_HMAC_CHECK = ("f7bc83f430538424b13298e6aa6fb143"
+               "ef4d59a14946175997479dbc2d1a3cd8")
+_HMAC_LINE = ("hmac.new(b'key', b'The quick brown fox jumps over the lazy "
+              "dog', 'sha256').hexdigest()")
+
+
+def test_default_rng_leaves_the_process_clean():
+    # the first call imports numpy.random with _hashlib blocked, then
+    # removes the block and the hashlib, hmac and secrets modules it made,
+    # so later imports get the OpenSSL-backed ones
+    out = run_fresh("\n".join([
+        "import importlib.util, sys",
+        "from harmonica import image",
+        "assert 'numpy.random' not in sys.modules",
+        "image.default_rng(1)",
+        "assert not [m for m, v in sys.modules.items() if v is None]",
+        "assert not {'_hashlib', 'hashlib', 'hmac', 'secrets'} "
+        "& set(sys.modules)",
+        "import hashlib, hmac, secrets",
+        "if importlib.util.find_spec('_hashlib'):",
+        "    import _hashlib",
+        "    assert hashlib.sha256 is _hashlib.openssl_sha256",
+        "    assert hmac.compare_digest is _hashlib.compare_digest",
+        f"print({_HMAC_LINE})",
+        "assert len(secrets.token_hex()) == 64",
+        "import numpy as np",
+        "a, b = (np.random.default_rng().standard_normal(4) for _ in 'ab')",
+        "assert not np.array_equal(a, b)",  # seeded from the system
+    ]))
+    assert out.split() == [_HMAC_CHECK]
+
+
+@pytest.mark.parametrize("preload", ["_hashlib", "numpy.random"])
+def test_default_rng_changes_nothing_once_loaded(preload):
+    # with OpenSSL or numpy.random already imported, the call leaves
+    # sys.modules as np.random.default_rng does
+    def modules(call):
+        return run_fresh("\n".join([
+            "import importlib.util, sys",
+            f"if importlib.util.find_spec({preload!r}):",
+            f"    import {preload}",
+            "import numpy as np",
+            "from harmonica import image",
+            "before = dict(sys.modules)",
+            f"{call}(1)",
+            "assert all(sys.modules[m] is v for m, v in before.items())",
+            "print(sorted(sys.modules))",
+        ]))
+
+    assert modules("image.default_rng") == modules("np.random.default_rng")
+
+
+SEEDS = [0, 1, 7, 2 ** 40, (0, 0), (1, 99), (3, 1600, 1)]
+
+
+def test_default_rng_draws_what_numpy_draws():
+    # the first call, which imports numpy.random, and later ones give the
+    # generator np.random.default_rng gives, bit for bit
+    out = run_fresh("\n".join([
+        "from harmonica import image",
+        f"for s in {SEEDS!r}:",
+        "    print(image.default_rng(s).standard_normal(7).tobytes().hex())",
+    ]))
+    want = [np.random.default_rng(s).standard_normal(7).tobytes().hex()
+            for s in SEEDS]
+    assert out.split() == want
+
+
+def test_default_rng_first_call_from_many_threads():
+    # more threads than cores race to the first call: one imports
+    # numpy.random, the others wait, and every one gets the seeded draws
+    out = run_fresh("\n".join([
+        "import sys, threading",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "from harmonica import image",
+        "sys.setswitchinterval(1e-6)",
+        "start = threading.Barrier(8)",
+        "def draw(_):",
+        "    start.wait(timeout=60)",
+        "    return image.default_rng(5).standard_normal(3).tobytes()",
+        "with ThreadPoolExecutor(8) as pool:",
+        "    draws = list(pool.map(draw, range(8), timeout=60))",
+        "assert len(set(draws)) == 1 and len(draws) == 8",
+        "assert not [m for m, v in sys.modules.items() if v is None]",
+        "print('_hashlib' in sys.modules)",
+    ]))
+    assert out.split() == ["False"]
 
 
 def test_text_image_roundtrip(tmp_path, rng):

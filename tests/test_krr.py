@@ -22,7 +22,7 @@ from harmonica.spectrum import (canonical_profile, enumerate_spectrum,
 
 from conftest import scalar_zonal_feature
 from helpers import (constant_kernel, pack, peak_rise, rls_objective,
-                     unpack)
+                     strided_cho_factor, unpack)
 
 EI = [activation("exp"), activation("identity")]
 
@@ -111,6 +111,18 @@ def test_blocked_cho_solve_matches_dense_solve(ell):
     assert np.array_equal(b, b0)  # the right-hand side is not overwritten
 
 
+@pytest.mark.parametrize("ell", [511, 512, 513, 1025, 1600])
+def test_cho_factor_is_the_strided_loop_bit_for_bit(ell):
+    # the chunk is updated in a contiguous copy, with the same products
+    # subtracted in the same order, so the factor is bitwise the one the
+    # loop that subtracts from the strided chunk itself gives
+    rng = np.random.default_rng(ell)
+    X = rng.standard_normal((ell, ell))
+    A = X @ X.T / ell + np.eye(ell)
+    got = unpack(krr.cho_factor(pack(A, 128)))
+    assert np.array_equal(got, unpack(strided_cho_factor(pack(A, 128))))
+
+
 def test_cho_factor_refuses_indefinite_matrix():
     with pytest.raises(np.linalg.LinAlgError):
         krr.cho_factor(pack(np.array([[1.0, 2.0], [2.0, 1.0]]), 128))
@@ -139,8 +151,9 @@ def test_cho_factor_refuses_failure_in_last_block():
 def test_rls_fit_holds_gram_only():
     """A fit keeps the Gram packed and factors it in its own blocks: the
     rise of the peak resident memory stays under half the 19.5 MiB dense
-    Gram plus 3 MiB (the diagonal squares, 0.8 MiB; the factor's 0.5 MiB
-    panel scratch and the rest). It rose by about 11.7 MiB; with the
+    Gram plus 3 MiB (the diagonal squares, 0.8 MiB; the factor's two
+    0.5 MiB scratch arrays and the rest). It rose by about 12.2 MiB (11.7
+    with one scratch array, subtracting from strided chunks); with the
     blocks at the tail of an ell x ell buffer, a 128 x ell scratch and the
     block inverses kept apart it rose by about 15.5 MiB, and with the
     dense Gram factored in place by about 21.9 MiB."""
