@@ -3,9 +3,9 @@
 Every command reads a JSON config (validated against the published schemas),
 derives all randomness from --seed, and writes machine-readable output whose
 header carries the config hash and tool version. Exit codes: 0 success,
-2 config validation failure, an output that cannot be written or a
-config that sizes an array past what can be allocated, 3 numerical
-tolerance failure.
+2 config validation failure, a series or table truncated too short, an
+unwritable output or an array sized past what can be allocated,
+3 numerical tolerance failure.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, cnn
 from .activations import ActivationSpec, activation
 from .errors import (ConfigError, FitError, HarmonicaError, OutputError,
-                     StructuralError)
+                     StructuralError, TruncationError)
 from .image import (PatchConfig, extract_patches, grid_locations, load_image,
                     sample_uniform_batch)
 from .kernel import KernelSpec, TruncationConfig, build_kernel, eval_kernel
@@ -162,19 +162,7 @@ def kernel_from_config(doc: dict) -> KernelSpec:
 
 
 def _table_for(spec: KernelSpec, k_max: int):
-    a_needed = spec.q_cap
-    if a_needed > spec.trunc.a_max:
-        raise ConfigError(
-            f"outer degree {a_needed} exceeds configured A_max={spec.trunc.a_max}")
-    if k_max > spec.f1.order:
-        raise ConfigError(
-            f"spectral degree {k_max} exceeds the f1 coefficient order "
-            f"{spec.f1.order}; raise truncation.order")
-    if spec.D != math.inf and spec.D > spec.g.order:
-        raise ConfigError(
-            f"outer degree {spec.D:.0f} exceeds the stored expansion "
-            f"(Q_max={spec.g.order}); raise truncation.Q_max")
-    return lambda_table(spec.f1, spec.d, k_max, a_needed,
+    return lambda_table(spec.f1, spec.d, k_max, spec.q_cap,
                         s_tol=spec.trunc.s_tol)
 
 
@@ -414,7 +402,7 @@ def main(argv=None) -> int:
         # and tolerance checks, so numpy's RuntimeWarnings are only noise
         with np.errstate(all="ignore"):
             return COMMANDS[args.command](cfg, args.out, args.seed, args)
-    except ConfigError as exc:
+    except (ConfigError, TruncationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OutputError as exc:

@@ -5,16 +5,16 @@ class HarmonicaError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TruncationCapError(HarmonicaError):
-    """Requested series order exceeds the configured hard cap."""
+class TruncationError(HarmonicaError):
+    """A series, table or expansion is too short for the computation."""
+
+
+class TruncationCapError(TruncationError):
+    """Requested series order exceeds the hard cap."""
 
 
 class ConvergenceError(HarmonicaError):
     """A truncated series sum did not converge within tolerance."""
-
-
-class TruncationError(HarmonicaError):
-    """A table or expansion is too short for the requested computation."""
 
 
 class QuadratureError(HarmonicaError):

@@ -21,6 +21,12 @@ ell x ell array, copies the strict upper triangle into the lower one, so
 the dense Gram is exactly symmetric, and drops the packed array. The
 spectral route lives in `spectrum` and the two are cross-checked by the
 Mercer reconstruction tests.
+
+A polynomial layer cut short by its series is another kernel, and only this
+module refuses one (TruncationError): `build_kernel` a first layer past
+truncation.order, an outer one past Q_max or one composed onto g past
+L_max; `KernelSpec` an outer degree D past the order of g, `q_cap` a D past
+A_max; `TruncationConfig` an order or Q_max past MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import ActivationSpec, majorant_series
-from .errors import StructuralError
-from .taylor import (CoeffSeries, DEFAULT_L_MAX, compose, eval_series,
-                     identity_series)
+from .errors import StructuralError, TruncationError
+from .taylor import (CoeffSeries, DEFAULT_COMPOSE_TOL, DEFAULT_L_MAX,
+                     check_order, compose, eval_series, identity_series)
 
 log = logging.getLogger(__name__)
 
@@ -82,6 +88,18 @@ class TruncationConfig:
         return cls(**{f: type(getattr(cls, f))(doc[key])
                       for key, f in fields.items() if key in doc})
 
+    def __post_init__(self):
+        check_order(self.series_order, "truncation.order")
+        check_order(self.q_max, "truncation.Q_max")
+
+
+def _refuse_past(degree: float, cap: int, key: str, what: str) -> None:
+    """Refuse a finite degree past the cap that ``truncation.<key>`` sets."""
+    if math.isfinite(degree) and degree > cap:
+        raise TruncationError(
+            f"{what} has degree {degree:.0f}, above truncation.{key}={cap}; "
+            f"raise truncation.{key}")
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -101,6 +119,7 @@ class KernelSpec:
             raise ValueError("need d >= 2 and n >= 1")
         if not (self.D == math.inf or (float(self.D).is_integer() and self.D >= 0)):
             raise ValueError("D must be a nonnegative integer or inf")
+        _refuse_past(self.D, self.g.order, "Q_max", "the outer composition")
 
     @property
     def d_star(self) -> int:
@@ -109,9 +128,10 @@ class KernelSpec:
 
     @property
     def q_cap(self) -> int:
-        """Largest outer power retained in spectral sums."""
+        """Largest outer power retained in spectral sums; refuses D > A_max."""
         if self.D == math.inf:
             return min(self.trunc.q_max, self.trunc.a_max, self.g.order)
+        _refuse_past(self.D, self.trunc.a_max, "A_max", "the outer composition")
         return int(self.D)
 
     def diag_value(self) -> float:
@@ -125,45 +145,35 @@ def build_kernel(acts: list, n: int, d: int,
 
     f1 is the majorant of sigma_1; g composes the majorants of the rest
     (identity series when N = 1). D is exact whenever every outer majorant
-    is a polynomial, else inf.
+    is a polynomial, else inf. Refusals: see the module docstring.
     """
     if not acts:
         raise StructuralError("need at least one activation")
     trunc = trunc or TruncationConfig()
-    order = trunc.series_order
-    f1 = majorant_series(acts[0], order)
+    degrees = [_activation_degree(a) for a in acts]
+    caps = ({"order": trunc.series_order}, {"Q_max": trunc.q_max},
+            {"Q_max": trunc.q_max, "L_max": trunc.l_max})
+    for i, (a, deg) in enumerate(zip(acts, degrees)):
+        for key, cap in caps[min(i, 2)].items():
+            _refuse_past(deg, cap, key, f"layer {i + 1} ({a.kind})")
+    f1 = majorant_series(acts[0], trunc.series_order)
     outer = [majorant_series(a, trunc.q_max) for a in acts[1:]]
-    if not outer:
-        g = identity_series(order=trunc.q_max)
-        D = 1.0
-    else:
-        g = outer[0]
-        for nxt in outer[1:]:
-            g = compose(nxt, g, trunc.q_max, l_max=trunc.l_max)
-        D = _composed_degree(acts[1:])
+    g = outer[0] if outer else identity_series(order=trunc.q_max)
+    for nxt, deg in zip(outer[1:], degrees[2:]):
+        # a polynomial within L_max drops no term, so no tail is estimated
+        g = compose(nxt, g, trunc.q_max, l_max=trunc.l_max,
+                    tol=DEFAULT_COMPOSE_TOL if deg == math.inf else math.inf)
+    # a constant layer makes g constant, whatever the layers around it
+    D = 0.0 if 0.0 in degrees[1:] else math.prod(degrees[1:], start=1.0)
     return KernelSpec(f1=f1, g=g, n=n, d=d, D=D, trunc=trunc)
 
 
 def _activation_degree(a: ActivationSpec) -> float:
-    """Exact polynomial degree of the majorant, or inf."""
-    if a.kind in ("exp", "erf_sigmoid", "smooth_hinge", "geometric"):
-        return math.inf
-    if a.kind == "square":
-        return 2.0
-    if a.kind == "identity":
-        return 1.0
-    last = max((i for i, c in enumerate(a.coeffs) if c != 0.0), default=None)
-    return 0.0 if last is None else float(last)
-
-
-def _composed_degree(acts: list) -> float:
-    prod = 1.0
-    for a in acts:
-        dg = _activation_degree(a)
-        if dg == 0.0:
-            return 0.0  # a constant factor collapses the chain
-        prod *= dg
-    return prod
+    """Exact polynomial degree of the majorant (0 for a zero polynomial),
+    or inf."""
+    if a.kind in ("poly", "custom"):
+        return float(max((i for i, c in enumerate(a.coeffs) if c), default=0))
+    return {"square": 2.0, "identity": 1.0}.get(a.kind, math.inf)
 
 
 def _kernel_values(spec: KernelSpec, products, out=None):

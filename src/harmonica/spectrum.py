@@ -47,6 +47,10 @@ that truncated product (``_mercer_sum``). The truncation at q_cap keeps
 the ANOVA zeros exact in the sum as well: phi_k has an exactly zero
 constant term for k >= 1, so a profile with more than D nonzero degrees
 only reaches powers u^q with q > D, which are never summed.
+
+`kernel` refuses a series too short for its layer; here a table only meets
+a request: `lambda_table` refuses k_max past the f1 order, `_outer_weights`
+q_cap past the table's alpha, `mu_eigenvalue` a degree past its k_max.
 """
 
 from __future__ import annotations
@@ -122,7 +126,8 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
     order = f1.order
     if k_max < 0 or a_max < 0 or k_max > order:
         raise TruncationError(
-            f"k_max={k_max} requires f1 coefficients up to at least that degree")
+            f"k_max={k_max} requires f1 coefficients up to at least that "
+            f"degree; raise truncation.order")
     log_pref_base = math.log(sphere_surface(d - 1)) + math.lgamma((d - 1) / 2.0)
     lam = np.zeros((k_max + 1, a_max + 1))
     tail = np.zeros((k_max + 1, a_max + 1))
@@ -212,16 +217,12 @@ def _factorials(size: int) -> np.ndarray:
 
 
 def _outer_weights(spec: KernelSpec, table: LambdaTable) -> np.ndarray:
-    """a_q q! for q <= q_cap, refusing a table or outer series too short."""
+    """a_q q! for q <= q_cap, refusing a lambda table too short for them."""
     q_cap = spec.q_cap
     if q_cap > table.a_max:
         raise TruncationError(
             f"outer degree {q_cap} needs lambda table up to alpha={q_cap}, "
             f"have {table.a_max}")
-    if spec.D != math.inf and spec.D > spec.g.order:
-        raise TruncationError(
-            f"outer degree {spec.D:.0f} exceeds the stored expansion "
-            f"(Q_max={spec.g.order}); raise Q_max for exact coefficients")
     return np.array(spec.g.coeffs[: q_cap + 1]) * _factorials(q_cap + 1)
 
 

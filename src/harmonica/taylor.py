@@ -25,9 +25,9 @@ DEFAULT_L_MAX = 64
 DEFAULT_COMPOSE_TOL = 1e-9
 
 
-def _check_order(order: int) -> None:
+def check_order(order: int, name: str = "order") -> None:
     if order < 0 or order > MAX_ORDER:
-        raise TruncationCapError(f"order {order} outside [0, {MAX_ORDER}]")
+        raise TruncationCapError(f"{name} {order} outside [0, {MAX_ORDER}]")
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class CoeffSeries:
         c = tuple(float(v) for v in self.coeffs)
         if not c:
             raise ValueError("series needs at least the degree-0 coefficient")
-        _check_order(len(c) - 1)
+        check_order(len(c) - 1)
         if not all(math.isfinite(v) for v in c):
             raise ValueError("series coefficients must be finite")
         if self.nonneg and any(v < 0.0 for v in c):
@@ -78,7 +78,7 @@ def series_from(coeffs: Sequence[float], order: int | None = None,
     """Build a series, padding or truncating to ``order`` when given."""
     c = [float(v) for v in coeffs]
     if order is not None:
-        _check_order(order)
+        check_order(order)
         c = c[: order + 1] + [0.0] * (order + 1 - len(c))
     if nonneg is None:
         nonneg = all(v >= 0.0 for v in c)
@@ -122,7 +122,7 @@ def cauchy_product(a: CoeffSeries, b: CoeffSeries, order: int) -> CoeffSeries:
     fsum keeps each coefficient correctly rounded, so the product commutes
     exactly.
     """
-    _check_order(order)
+    check_order(order)
     ca, cb = a.coeffs, b.coeffs
     out = []
     for m in range(order + 1):
@@ -169,7 +169,7 @@ def compose(outer: CoeffSeries, inner: CoeffSeries, order: int,
     term every l contributes to every coefficient, so the truncation tail is
     estimated (see composition_tail) and must fall below ``tol``.
     """
-    _check_order(order)
+    check_order(order)
     powers = power_table(inner, order)
     tail = composition_tail(outer, powers(1), l_max)
     if tail > tol:

@@ -556,24 +556,33 @@ def test_non_finite_json_literal_is_config_error(tmp_path, literal):
 
 
 def test_config_a_max_guard(tmp_path, capsys):
-    # outer polynomial degree above A_max must fail loudly
-    cfg = {"kernel": {"layers": [{"activation": "exp"},
-                                 {"activation": "poly",
-                                  "coeffs": [0.0] * 20 + [1.0]}],
-                      "n": 1, "d": 3,
-                      "truncation": {"A_max": 16}},
-           "k_max": 4}
-    rc, _ = run(tmp_path, "spectrum", cfg)
-    assert rc == EXIT_CONFIG
-    # so must a degree cutoff past the f1 coefficients, or a polynomial
-    # outer degree past the stored g expansion, on every command that
-    # builds a lambda table; the message names the key to raise
-    t40 = {"layers": [{"activation": "exp"},
-                      {"activation": "poly", "coeffs": [0.0] * 40 + [1.0]}],
-           "n": 1, "d": 3,
+    # an outer polynomial degree past A_max, a degree cutoff past the f1
+    # coefficients, a polynomial layer or outer degree past its series
+    # (order, Q_max, L_max) and an order past MAX_ORDER must fail loudly on
+    # every command that builds a kernel, learning-curve with a network
+    # target too; the message names the key to raise
+    exp, square = {"activation": "exp"}, {"activation": "square"}
+    poly20 = {"activation": "poly", "coeffs": [0.0] * 20 + [1.0]}
+    poly40 = {"activation": "poly", "coeffs": [0.0] * 40 + [1.0]}
+    poly70 = {"activation": "poly", "coeffs": [0.0] * 70 + [1.0]}
+    t20 = {"layers": [exp, poly20], "n": 1, "d": 3,
+           "truncation": {"A_max": 16}}
+    t40 = {"layers": [exp, poly40], "n": 1, "d": 3,
            "truncation": {"A_max": 48, "Q_max": 32, "order": 200}}
     source = {"type": "source", "profiles": [{"degrees": [70]}]}
+    network = {"type": "network",
+               "network": {"filters": [1, 1], "patch_sizes": [2],
+                           "boundary": "valid",
+                           "activations": [square, square]}}
+
+    def curve(layers, **trunc):
+        return {"kernel": {"layers": layers, "n": 2, "d": 4,
+                           "truncation": trunc},
+                "schedule": {"beta": 2.0}, "sizes": [8], "test_size": 4,
+                "target": network}
+
     cases = [
+        ("spectrum", {"kernel": t20, "k_max": 4}, (), "A_max"),
         ("spectrum", {"kernel": KERNEL_EI, "k_max": 65}, (), "order"),
         ("spectrum", {"kernel": KERNEL_EI, "k_max": 4}, ("--kmax", "70"),
          "order"),
@@ -587,7 +596,20 @@ def test_config_a_max_guard(tmp_path, capsys):
         ("spectrum", {"kernel": t40, "k_max": 4}, (), "Q_max"),
         ("reconstruct", {"kernel": t40, "k_max": 4, "pairs": 2}, (), "Q_max"),
         ("gram-eig", {"kernel": t40, "k_max": 4, "ell": 20, "top_k": 2}, (),
-         "Q_max")]
+         "Q_max"),
+        # a kernel identically 0: g is poly40 cut to nothing at Q_max 32
+        ("learning-curve", curve([exp, poly40], Q_max=32), (), "Q_max"),
+        # K == 0 too: f1 is poly70 cut to zero at order 64
+        ("learning-curve", curve([poly70, square]), (), "order"),
+        # poly70 composed onto square keeps only powers up to L_max 64
+        ("learning-curve", curve([exp, square, poly70], Q_max=200), (),
+         "L_max"),
+        # an outer polynomial cut at Q_max under a non-polynomial layer
+        ("learning-curve", curve([exp, poly70, exp]), (), "Q_max"),
+        ("gram-eig", {"kernel": {"layers": [poly70, square], "n": 1, "d": 3},
+                      "k_max": 4, "ell": 20, "top_k": 2}, (), "order"),
+        ("spectrum", {"kernel": dict(KERNEL_EI, truncation={"order": 5000}),
+                      "k_max": 4}, (), "order")]
     for i, (command, cfg, extra, key) in enumerate(cases):
         capsys.readouterr()
         rc, out = run(tmp_path, command, cfg, name=f"{i}.csv", extra=extra)

@@ -7,12 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from harmonica import kernel
 from harmonica.activations import activation
-from harmonica.errors import StructuralError
+from harmonica.errors import StructuralError, TruncationError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import (TruncationConfig, build_kernel, cross_gram,
                               eval_kernel, gram)
@@ -39,6 +39,52 @@ def test_build_exp_outer_infinite_degree():
     spec = build_kernel([activation("exp"), activation("exp")], 2, 3)
     assert spec.D == math.inf
     assert spec.d_star == 2  # capped by n
+
+
+# polynomial layers: square, identity, or poly/custom coefficients of
+# degree <= 8 with a nonzero top coefficient (so the degree is the length)
+_POLY_LAYERS = st.one_of(
+    st.sampled_from([activation("square"), activation("identity")]),
+    st.builds(lambda kind, body, top: activation(kind, coeffs=body + [top]),
+              st.sampled_from(["poly", "custom"]),
+              st.lists(st.sampled_from([0.0, 0.5, -1.0, 2.0]), max_size=8),
+              st.sampled_from([0.5, -1.0, 2.0])))
+
+
+def _layer_degree(a):
+    return {"square": 2, "identity": 1}.get(a.kind, len(a.coeffs) - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(layers=st.lists(_POLY_LAYERS, min_size=1, max_size=4),
+       order=st.integers(1, 10), q_max=st.integers(1, 40),
+       l_max=st.integers(1, 10))
+# a top coefficient at Q_max reads as a cut-off infinite series to the
+# composition tail estimate; the polynomial composes exactly all the same
+@example(layers=[activation("identity"), activation("identity"),
+                 activation("poly", coeffs=[0.0] * 6 + [1.0, 1.0])],
+         order=1, q_max=7, l_max=8)
+def test_build_kernel_holds_or_refuses_polynomial_layers(layers, order,
+                                                         q_max, l_max):
+    """A polynomial layer is either held whole by its series or refused.
+
+    Layer 1's series stops at order, the outer ones at Q_max, layers
+    composed onto g (3 onward) keep powers up to L_max, and the composed
+    outer degree D must fit in Q_max. A stack within all four builds f1 of
+    layer 1's degree and g of degree D exactly; any other raises
+    TruncationError.
+    """
+    trunc = TruncationConfig(series_order=order, q_max=q_max, l_max=l_max)
+    degrees = [_layer_degree(a) for a in layers]
+    D = math.prod(degrees[1:])
+    if not (degrees[0] <= order and max(degrees[1:], default=0) <= q_max
+            and max(degrees[2:], default=0) <= l_max and D <= q_max):
+        with pytest.raises(TruncationError):
+            build_kernel(layers, 2, 3, trunc)
+        return
+    spec = build_kernel(layers, 2, 3, trunc)
+    assert spec.f1.degree() == degrees[0]
+    assert spec.g.degree() == spec.D == D
 
 
 def test_eval_square_square():

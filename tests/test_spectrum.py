@@ -10,7 +10,8 @@ from harmonica.activations import activation
 from harmonica.errors import ConvergenceError, FitError, TruncationError
 from harmonica.harmonics import funk_hecke_eigenvalue, sphere_surface
 from harmonica.image import sample_uniform
-from harmonica.kernel import TruncationConfig, build_kernel, eval_kernel
+from harmonica.kernel import (KernelSpec, TruncationConfig, build_kernel,
+                              eval_kernel)
 from harmonica import spectrum
 from harmonica.spectrum import (KAPPA, SpectralExpansion, SpectrumEntry,
                                 canonical_profile, enumerate_spectrum,
@@ -299,12 +300,16 @@ def test_mu_truncation_error():
 
 
 def test_mu_outer_degree_beyond_expansion():
+    # an outer polynomial past Q_max is refused as the kernel is built,
+    # before any table or eigenvalue can read the cut-off series
     tc = TruncationConfig(q_max=8, a_max=16)
-    spec = build_kernel([activation("exp"),
-                         activation("poly", coeffs=[0.0] * 12 + [1.0])], 1, 3, tc)
-    tab = lambda_table(spec.f1, 3, 2, min(spec.q_cap, 16))
     with pytest.raises(TruncationError):
-        mu_eigenvalue(spec, (1,), tab)
+        build_kernel([activation("exp"),
+                      activation("poly", coeffs=[0.0] * 12 + [1.0])], 1, 3, tc)
+    # so is a spec built directly with an outer degree past its g
+    with pytest.raises(TruncationError):
+        KernelSpec(f1=EXP, g=series_from([0.0, 1.0], order=8), n=1, d=3,
+                   D=12.0)
 
 
 def test_profile_multiplicities():
@@ -521,10 +526,9 @@ def test_reconstruct_refuses_short_table_and_outer_series():
     with pytest.raises(TruncationError):
         SpectralExpansion(spec, lambda_table(spec.f1, 3, 4, 1), 4)
     poly6 = activation("poly", coeffs=[0.0] * 6 + [1.0])
-    short = build_kernel([activation("exp"), poly6], 2, 3,
-                         TruncationConfig(q_max=4))
-    with pytest.raises(TruncationError):
-        SpectralExpansion(short, lambda_table(short.f1, 3, 4, 6), 4)
+    with pytest.raises(TruncationError):  # refused by build_kernel
+        build_kernel([activation("exp"), poly6], 2, 3,
+                     TruncationConfig(q_max=4))
 
 
 def test_eigenvalue_windows_shape():
