@@ -87,29 +87,33 @@ def _smooth_hinge_coeffs(order: int) -> list[float]:
 
 
 def taylor_coeffs(spec: ActivationSpec, order: int) -> CoeffSeries:
-    """Signed Taylor coefficients of sigma at 0 (may be negative)."""
+    """Signed Taylor coefficients of sigma at 0 (may be negative), up to
+    ``order`` (the identity keeps its x), with the activation's degree."""
     if spec.kind == "exp":
         return exp_series(order)
     if spec.kind == "square":
-        return series_from([0.0, 0.0, 1.0], order=max(order, 2))
+        return series_from([0.0, 0.0, 1.0], order=order)
     if spec.kind == "identity":
         return identity_series(order)
     if spec.kind in ("poly", "custom"):
-        return series_from(spec.coeffs, order=max(order, len(spec.coeffs) - 1))
+        return series_from(spec.coeffs, order=order)
     if spec.kind == "geometric":
         return geometric_series(spec.ratio, order)
     if spec.kind == "erf_sigmoid":
-        return series_from(_erf_sigmoid_coeffs(order))
+        return series_from(_erf_sigmoid_coeffs(order), degree=math.inf)
     if spec.kind == "smooth_hinge":
-        return series_from(_smooth_hinge_coeffs(order))
+        return series_from(_smooth_hinge_coeffs(order), degree=math.inf)
     raise UnsupportedActivationError(spec.kind)
 
 
 def majorant_series(spec: ActivationSpec, order: int = DEFAULT_ORDER) -> CoeffSeries:
-    """Nonnegative series |sigma^(t)(0)|/t! x^t truncated at ``order``."""
+    """Nonnegative series |sigma^(t)(0)|/t! x^t truncated at ``order``, of
+    the activation's degree: that of its coefficient list for ``poly`` and
+    ``custom``, 2 for ``square``, 1 for ``identity``, inf for the rest. A
+    polynomial of higher degree than ``order`` is not whole."""
     signed = taylor_coeffs(spec, order)
-    return series_from([abs(v) for v in signed.coeffs][: order + 1],
-                       order=order, nonneg=True)
+    return series_from([abs(v) for v in signed.coeffs], order=order,
+                       nonneg=True, degree=signed.degree)
 
 
 # math.erf elementwise: numpy has no erf, and scipy's costs a ~0.3 s import

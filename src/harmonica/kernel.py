@@ -23,10 +23,12 @@ spectral route lives in `spectrum` and the two are cross-checked by the
 Mercer reconstruction tests.
 
 A polynomial layer cut short by its series is another kernel, and only this
-module refuses one (TruncationError): `build_kernel` a first layer past
-truncation.order, an outer one past Q_max or one composed onto g past
-L_max; `KernelSpec` an outer degree D past the order of g, `q_cap` a D past
-A_max; `TruncationConfig` an order or Q_max past MAX_ORDER.
+module refuses one (TruncationError), reading each series' own degree
+(`CoeffSeries.degree`): `build_kernel` a first layer past truncation.order,
+an outer one past Q_max or one composed onto g past L_max; `KernelSpec` a
+polynomial f1 or g that its series does not hold whole (g's degree is the
+outer degree D), `q_cap` a D past A_max; `TruncationConfig` an order or
+Q_max past MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationSpec, majorant_series
+from .activations import majorant_series
 from .errors import StructuralError, TruncationError
-from .taylor import (CoeffSeries, DEFAULT_COMPOSE_TOL, DEFAULT_L_MAX,
-                     check_order, compose, eval_series, identity_series)
+from .taylor import (CoeffSeries, DEFAULT_L_MAX, check_order, compose,
+                     eval_series, identity_series)
 
 log = logging.getLogger(__name__)
 
@@ -103,13 +105,12 @@ def _refuse_past(degree: float, cap: int, key: str, what: str) -> None:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Inner series f1, composed outer series g, and the size/degree data."""
+    """Inner series f1, composed outer series g, and the size data."""
 
     f1: CoeffSeries
     g: CoeffSeries
     n: int
     d: int
-    D: float  # outer polynomial degree; math.inf when non-polynomial
     trunc: TruncationConfig = field(default_factory=TruncationConfig)
 
     def __post_init__(self):
@@ -117,9 +118,13 @@ class KernelSpec:
             raise ValueError("kernel series must be nonnegative")
         if self.d < 2 or self.n < 1:
             raise ValueError("need d >= 2 and n >= 1")
-        if not (self.D == math.inf or (float(self.D).is_integer() and self.D >= 0)):
-            raise ValueError("D must be a nonnegative integer or inf")
+        _refuse_past(self.f1.degree, self.f1.order, "order", "f1")
         _refuse_past(self.D, self.g.order, "Q_max", "the outer composition")
+
+    @property
+    def D(self) -> float:
+        """Outer polynomial degree, g's; math.inf when non-polynomial."""
+        return self.g.degree
 
     @property
     def d_star(self) -> int:
@@ -144,36 +149,25 @@ def build_kernel(acts: list, n: int, d: int,
     """Assemble the kernel for activations [sigma_1, ..., sigma_N].
 
     f1 is the majorant of sigma_1; g composes the majorants of the rest
-    (identity series when N = 1). D is exact whenever every outer majorant
-    is a polynomial, else inf. Refusals: see the module docstring.
+    (identity series when N = 1), so D, the degree of g, is exact whenever
+    every outer majorant is a polynomial, else inf. Refusals: see the
+    module docstring.
     """
     if not acts:
         raise StructuralError("need at least one activation")
     trunc = trunc or TruncationConfig()
-    degrees = [_activation_degree(a) for a in acts]
+    series = [majorant_series(a, trunc.series_order if i == 0 else trunc.q_max)
+              for i, a in enumerate(acts)]
     caps = ({"order": trunc.series_order}, {"Q_max": trunc.q_max},
             {"Q_max": trunc.q_max, "L_max": trunc.l_max})
-    for i, (a, deg) in enumerate(zip(acts, degrees)):
+    for i, (a, s) in enumerate(zip(acts, series)):
         for key, cap in caps[min(i, 2)].items():
-            _refuse_past(deg, cap, key, f"layer {i + 1} ({a.kind})")
-    f1 = majorant_series(acts[0], trunc.series_order)
-    outer = [majorant_series(a, trunc.q_max) for a in acts[1:]]
+            _refuse_past(s.degree, cap, key, f"layer {i + 1} ({a.kind})")
+    f1, outer = series[0], series[1:]
     g = outer[0] if outer else identity_series(order=trunc.q_max)
-    for nxt, deg in zip(outer[1:], degrees[2:]):
-        # a polynomial within L_max drops no term, so no tail is estimated
-        g = compose(nxt, g, trunc.q_max, l_max=trunc.l_max,
-                    tol=DEFAULT_COMPOSE_TOL if deg == math.inf else math.inf)
-    # a constant layer makes g constant, whatever the layers around it
-    D = 0.0 if 0.0 in degrees[1:] else math.prod(degrees[1:], start=1.0)
-    return KernelSpec(f1=f1, g=g, n=n, d=d, D=D, trunc=trunc)
-
-
-def _activation_degree(a: ActivationSpec) -> float:
-    """Exact polynomial degree of the majorant (0 for a zero polynomial),
-    or inf."""
-    if a.kind in ("poly", "custom"):
-        return float(max((i for i, c in enumerate(a.coeffs) if c), default=0))
-    return {"square": 2.0, "identity": 1.0}.get(a.kind, math.inf)
+    for nxt in outer[1:]:
+        g = compose(nxt, g, trunc.q_max, l_max=trunc.l_max)
+    return KernelSpec(f1=f1, g=g, n=n, d=d, trunc=trunc)
 
 
 def _kernel_values(spec: KernelSpec, products, out=None):

@@ -49,8 +49,12 @@ constant term for k >= 1, so a profile with more than D nonzero degrees
 only reaches powers u^q with q > D, which are never summed.
 
 `kernel` refuses a series too short for its layer; here a table only meets
-a request: `lambda_table` refuses k_max past the f1 order, `_outer_weights`
-q_cap past the table's alpha, `mu_eigenvalue` a degree past its k_max.
+a request: `lambda_table` refuses k_max past the f1 order, and a polynomial
+f1 whose a_max-th power its coefficients do not hold whole (f1^alpha has
+degree alpha * f1.degree); `_outer_weights` refuses q_cap past the table's
+alpha, `mu_eigenvalue` a degree past its k_max. For a polynomial f1 every
+s-series ends exactly, so its tail is 0; only an f1 of degree inf has
+s-series cut at its order, and their tails are bounded or refused.
 """
 
 from __future__ import annotations
@@ -113,7 +117,9 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
                  s_tol: float = 1e-12) -> LambdaTable:
     """Closed-form eigenvalue table for f1^alpha, alpha <= a_max, k <= k_max.
 
-    Needs f1 truncated high enough that the s-series tail at k_max falls
+    A polynomial f1 (finite ``degree``) must hold f1^a_max whole; then
+    every s-series ends exactly and every tail is 0. An f1 of degree inf
+    must be truncated high enough that the s-series tail at k_max falls
     below s_tol; otherwise a convergence error is raised. No quadrature
     runs: the Funk-Hecke ratio is the exact KAPPA. The powers f1^alpha come
     from one left-fold product each (bitwise equal to ``power``). Every
@@ -131,8 +137,13 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
     log_pref_base = math.log(sphere_surface(d - 1)) + math.lgamma((d - 1) / 2.0)
     lam = np.zeros((k_max + 1, a_max + 1))
     tail = np.zeros((k_max + 1, a_max + 1))
-    powers = power_table(f1, order)
-    b = np.stack([powers(alpha).asarray() for alpha in range(a_max + 1)])
+    table = power_table(f1, order)
+    powers = [table(alpha) for alpha in range(a_max + 1)]
+    if powers[-1].degree != math.inf and not powers[-1].whole:
+        raise TruncationError(
+            f"f1^{a_max} has degree {powers[-1].degree}, above the f1 order "
+            f"{order}; raise truncation.order")
+    b = np.stack([p.asarray() for p in powers])
     with np.errstate(divide="ignore"):
         log_b = np.log(b)  # -inf at exact zeros, which the masks below drop
     # every log-gamma argument is a half-integer j/2 with j <= 2 order + d
@@ -146,8 +157,9 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
                  + lg[1:1 + 2 * ns:2] - lg[2 * k + d:2 * k + d + 2 * ns:2])
         log_pref = log_pref_base - (k + 1) * math.log(2.0)
         for alpha in range(a_max + 1):
-            # only the parity subsequence b[k::2] feeds this entry; a zero at
-            # its boundary means the sum terminated exactly (parity-gapped
+            # only the parity subsequence b[k::2] feeds this entry; for a
+            # whole power the sum ends exactly, and for a cut infinite one a
+            # zero at its boundary means the subsequence ended (parity-gapped
             # majorants), a nonzero one means real truncation
             pos = b[alpha, k::2] > 0.0
             if pos.all():
@@ -156,7 +168,7 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
                 logt = (log_b[alpha, k::2] + log_c)[pos]
             else:
                 continue  # exact zero (notably alpha = 0, k >= 1)
-            truncated = bool(pos[-1])
+            truncated = not powers[alpha].whole and bool(pos[-1])
             top = logt.max()
             logsum = top + math.log(np.exp(logt - top).sum())
             lam[k, alpha] = math.exp(log_pref + logsum)

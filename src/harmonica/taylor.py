@@ -1,13 +1,22 @@
 """Exact truncated power-series arithmetic over nonnegative coefficients.
 
-Series are dense coefficient vectors truncated at a fixed degree. Products
-use per-coefficient ``math.fsum`` so results are independent of operand
-order, which the invariant tests rely on. Everything here is pure and safe
-to call concurrently.
+Series are dense coefficient vectors truncated at a fixed order. Each one
+also records the degree of the function it stands for: an integer for a
+polynomial, math.inf for a series cut from an infinite one. A series is
+whole, holding its function exactly, when its degree is at most its
+order. The degree is set once, where a series is made, and never read off
+where its coefficients stop: a coefficient list gives its last nonzero
+index, the exp and geometric series give inf, products add degrees (so
+power l multiplies one by l) and composition multiplies them, where a
+degree-0 (constant) factor gives 0. Products use per-coefficient
+``math.fsum`` so results are independent of operand order, which the
+invariant tests rely on. Everything here is pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,17 +39,31 @@ def check_order(order: int, name: str = "order") -> None:
         raise TruncationCapError(f"{name} {order} outside [0, {MAX_ORDER}]")
 
 
+def _top_index(coeffs) -> int:
+    """Index of the last nonzero coefficient; 0 for the zero series."""
+    for m in range(len(coeffs) - 1, 0, -1):
+        if coeffs[m] != 0.0:
+            return m
+    return 0
+
+
 @dataclass(frozen=True)
 class CoeffSeries:
     """Coefficient vector of a truncated power series.
 
     ``coeffs[m]`` is the coefficient of degree m; ``order = len(coeffs) - 1``.
     ``nonneg`` records that every coefficient is >= 0, which is what the
-    eigenvalue formulas require of majorant series.
+    eigenvalue formulas require of majorant series. ``degree`` is the
+    degree of the function the series stands for: an integer for a
+    polynomial (every coefficient past it is zero), math.inf for a series
+    cut from an infinite one; left out, it is the last nonzero index of
+    ``coeffs`` (0 for the zero series). A polynomial of degree above the
+    order is one cut short. The series is ``whole`` when degree <= order.
     """
 
     coeffs: tuple
     nonneg: bool = field(default=False)
+    degree: float = field(default=None)
 
     def __post_init__(self):
         c = tuple(float(v) for v in self.coeffs)
@@ -51,11 +74,26 @@ class CoeffSeries:
             raise ValueError("series coefficients must be finite")
         if self.nonneg and any(v < 0.0 for v in c):
             raise ValueError("nonneg series has a negative coefficient")
+        deg = _top_index(c) if self.degree is None else self.degree
+        if deg != math.inf:
+            if not (deg >= 0 and float(deg).is_integer()):
+                raise ValueError(f"degree {deg} is neither a nonnegative "
+                                 "integer nor inf")
+            deg = int(deg)
+            if any(itertools.islice(c, deg + 1, None)):
+                raise ValueError(f"series of degree {deg} has a nonzero "
+                                 "coefficient past it")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "degree", deg)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
+
+    @property
+    def whole(self) -> bool:
+        """True when the coefficients hold the whole function."""
+        return self.degree <= self.order
 
     def asarray(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
@@ -63,26 +101,27 @@ class CoeffSeries:
     def truncated(self, order: int) -> "CoeffSeries":
         if order == self.order:
             return self  # frozen, so sharing it is safe
-        return series_from(self.coeffs, order=order, nonneg=self.nonneg)
-
-    def degree(self) -> int | None:
-        """Index of the last nonzero coefficient, or None for the zero series."""
-        for m in range(self.order, -1, -1):
-            if self.coeffs[m] != 0.0:
-                return m
-        return None
+        return series_from(self.coeffs, order=order, nonneg=self.nonneg,
+                           degree=self.degree)
 
 
 def series_from(coeffs: Sequence[float], order: int | None = None,
-                nonneg: bool | None = None) -> CoeffSeries:
-    """Build a series, padding or truncating to ``order`` when given."""
+                nonneg: bool | None = None,
+                degree: float | None = None) -> CoeffSeries:
+    """Build a series, padding or truncating to ``order`` when given.
+
+    The degree defaults to the last nonzero index of ``coeffs`` as given,
+    so a polynomial truncated below its degree keeps it (and is not whole).
+    """
     c = [float(v) for v in coeffs]
+    if degree is None:
+        degree = _top_index(c)
     if order is not None:
         check_order(order)
         c = c[: order + 1] + [0.0] * (order + 1 - len(c))
     if nonneg is None:
         nonneg = all(v >= 0.0 for v in c)
-    return CoeffSeries(tuple(c), nonneg=nonneg)
+    return CoeffSeries(tuple(c), nonneg=nonneg, degree=degree)
 
 
 def identity_series(order: int = 1) -> CoeffSeries:
@@ -97,7 +136,7 @@ def exp_series(order: int) -> CoeffSeries:
     for m in range(order + 1):
         fact *= max(m, 1)
         coeffs.append(1 / fact)
-    return series_from(coeffs, nonneg=True)
+    return series_from(coeffs, nonneg=True, degree=math.inf)
 
 
 def geometric_series(r: float, order: int) -> CoeffSeries:
@@ -105,19 +144,22 @@ def geometric_series(r: float, order: int) -> CoeffSeries:
     whose eigenvalue windows and decay law are checked empirically."""
     if not 0.0 < r < 1.0:
         raise ValueError("geometric ratio must lie in (0, 1)")
-    return series_from([r ** m for m in range(order + 1)], nonneg=True)
+    return series_from([r ** m for m in range(order + 1)], nonneg=True,
+                       degree=math.inf)
 
 
-def _computed_series(coeffs: list, nonneg: bool) -> CoeffSeries:
+def _computed_series(coeffs: list, nonneg: bool,
+                     degree: float) -> CoeffSeries:
     """Series from computed coefficients; one past the double range raises
     OverflowError, as ``math.fsum`` itself does on intermediate overflow."""
     if not all(map(math.isfinite, coeffs)):
         raise OverflowError("series coefficients overflow the double range")
-    return CoeffSeries(tuple(coeffs), nonneg=nonneg)
+    return CoeffSeries(tuple(coeffs), nonneg=nonneg, degree=degree)
 
 
 def cauchy_product(a: CoeffSeries, b: CoeffSeries, order: int) -> CoeffSeries:
-    """Truncated product: result[m] = sum_{k<=m} a[k] b[m-k].
+    """Truncated product: result[m] = sum_{k<=m} a[k] b[m-k], of degree
+    a.degree + b.degree.
 
     fsum keeps each coefficient correctly rounded, so the product commutes
     exactly.
@@ -129,7 +171,7 @@ def cauchy_product(a: CoeffSeries, b: CoeffSeries, order: int) -> CoeffSeries:
         lo = max(0, m - len(cb) + 1)
         hi = min(m, len(ca) - 1)
         out.append(math.fsum(ca[k] * cb[m - k] for k in range(lo, hi + 1)))
-    return _computed_series(out, a.nonneg and b.nonneg)
+    return _computed_series(out, a.nonneg and b.nonneg, a.degree + b.degree)
 
 
 def power(a: CoeffSeries, alpha: int, order: int) -> CoeffSeries:
@@ -146,7 +188,7 @@ def power_table(a: CoeffSeries, order: int) -> Callable[[int], CoeffSeries]:
     Iterated left-fold products (not binary squaring), so that a**(i+j)
     agrees with cauchy_product(a**i, a**j) coefficient-for-coefficient. The
     l = 1 entry is a itself: cauchy_product(1, a) reproduces a exactly, so
-    the O(order^2) product is skipped.
+    the O(order^2) product is skipped. Entry l has degree l * a.degree.
     """
     cache: dict[int, CoeffSeries] = {
         0: series_from([1.0], order=order, nonneg=True),
@@ -167,7 +209,9 @@ def compose(outer: CoeffSeries, inner: CoeffSeries, order: int,
 
     Sums outer[l] * (inner**l) over l <= l_max. With a nonzero inner constant
     term every l contributes to every coefficient, so the truncation tail is
-    estimated (see composition_tail) and must fall below ``tol``.
+    estimated (see composition_tail) and must fall below ``tol``. The
+    result's degree is outer.degree * inner.degree, or 0 when either is 0:
+    a constant on either side makes the composition constant.
     """
     check_order(order)
     powers = power_table(inner, order)
@@ -186,7 +230,10 @@ def compose(outer: CoeffSeries, inner: CoeffSeries, order: int,
             v = ol * pw.coeffs[m]
             if v != 0.0:
                 terms[m].append(v)
-    return _computed_series([math.fsum(t) for t in terms], outer.nonneg)
+    degree = (0 if 0 in (outer.degree, inner.degree)
+              else outer.degree * inner.degree)
+    return _computed_series([math.fsum(t) for t in terms], outer.nonneg,
+                            degree)
 
 
 def composition_tail(outer: CoeffSeries, inner: CoeffSeries,
@@ -195,27 +242,24 @@ def composition_tail(outer: CoeffSeries, inner: CoeffSeries,
 
     For nonneg series (inner**l)[m] <= inner(1)**l, so the dropped
     contribution to any coefficient is below sum_{l>l_max} outer[l] S^l with
-    S = inner(1). An outer series that still has nonzero coefficients at its
-    truncation boundary is treated as infinite and its tail extrapolated
-    geometrically from the last two retained terms; terms not decaying means
-    a divergent composition (infinite tail).
+    S = inner(1). A polynomial outer drops nothing within l_max, past it the
+    sum is explicit, and past its own order its coefficients are unknown
+    (infinite tail). An outer series of degree inf has its tail extrapolated
+    geometrically from the last two retained nonzero terms; fewer than two,
+    or terms not decaying (a divergent composition), give an infinite tail.
     """
-    s = eval_series(inner, 1.0)
-    deg = outer.degree()
-    if deg is None:
-        return 0.0
-    boundary = outer.coeffs[outer.order] != 0.0 or (
-        outer.order >= 1 and outer.coeffs[outer.order - 1] != 0.0)
     l_top = min(l_max, outer.order)
-    if not boundary and deg <= l_top:
-        return 0.0  # genuinely finite composition
-    if not boundary:
-        # polynomial outer longer than l_max: the dropped mass is explicit
+    s = eval_series(inner, 1.0)
+    if outer.degree <= l_top or s == 0.0:
+        return 0.0  # nothing dropped, or inner**l = 0 for every l >= 1
+    if outer.whole:
         return math.fsum(abs(outer.coeffs[l]) * s ** l
-                         for l in range(l_top + 1, deg + 1))
+                         for l in range(l_top + 1, outer.degree + 1))
+    if outer.degree != math.inf:
+        return math.inf  # a polynomial cut short: dropped terms unknown
     nz = [l for l in range(l_top + 1) if outer.coeffs[l] != 0.0]
     if len(nz) < 2:
-        return 0.0  # a single retained term reads as an exact monomial
+        return math.inf  # nothing to extrapolate from
     l1, l2 = nz[-2], nz[-1]
     t1 = abs(outer.coeffs[l1]) * s ** l1
     t2 = abs(outer.coeffs[l2]) * s ** l2
@@ -237,7 +281,7 @@ def eval_series(a: CoeffSeries, t, out=None):
     takes the values in place of a new array and is returned; the
     operations, and so every value, are the same either way.
     """
-    coeffs = a.coeffs[: (a.degree() or 0) + 1]
+    coeffs = a.coeffs[: _top_index(a.coeffs) + 1]
     if np.isscalar(t):
         acc = coeffs[-1]
         for c in reversed(coeffs[:-1]):

@@ -32,7 +32,27 @@ def constant_kernel(value: float, n: int, d: int,
     trunc = trunc or TruncationConfig()
     f1 = series_from([0.0, 1.0], order=trunc.series_order, nonneg=True)
     g = series_from([float(value)], order=trunc.q_max, nonneg=True)
-    return KernelSpec(f1=f1, g=g, n=n, d=d, D=0.0, trunc=trunc)
+    return KernelSpec(f1=f1, g=g, n=n, d=d, trunc=trunc)
+
+
+def top_index(series) -> int:
+    """Index of the last nonzero coefficient of a series (0 if none)."""
+    return max((m for m, c in enumerate(series.coeffs) if c), default=0)
+
+
+def activation_degree(a) -> float:
+    """Polynomial degree of an activation's majorant read off its kind
+    (0 for a zero polynomial), or inf: the rule the kernel once used."""
+    if a.kind in ("poly", "custom"):
+        return float(max((i for i, c in enumerate(a.coeffs) if c), default=0))
+    return {"square": 2.0, "identity": 1.0}.get(a.kind, math.inf)
+
+
+def outer_degree(acts) -> float:
+    """The kernel's outer degree D by the product of the outer layers'
+    degrees, 0 if any of them is 0 (a constant layer makes g constant)."""
+    degrees = [activation_degree(a) for a in acts[1:]]
+    return 0.0 if 0.0 in degrees else math.prod(degrees, start=1.0)
 
 
 def zonal_orthogonality_error(k: int, kp: int, d: int) -> float:

@@ -565,6 +565,7 @@ def test_config_a_max_guard(tmp_path, capsys):
     poly20 = {"activation": "poly", "coeffs": [0.0] * 20 + [1.0]}
     poly40 = {"activation": "poly", "coeffs": [0.0] * 40 + [1.0]}
     poly70 = {"activation": "poly", "coeffs": [0.0] * 70 + [1.0]}
+    poly5000 = {"activation": "poly", "coeffs": [0.0] * 5000 + [1.0]}
     t20 = {"layers": [exp, poly20], "n": 1, "d": 3,
            "truncation": {"A_max": 16}}
     t40 = {"layers": [exp, poly40], "n": 1, "d": 3,
@@ -609,7 +610,10 @@ def test_config_a_max_guard(tmp_path, capsys):
         ("gram-eig", {"kernel": {"layers": [poly70, square], "n": 1, "d": 3},
                       "k_max": 4, "ell": 20, "top_k": 2}, (), "order"),
         ("spectrum", {"kernel": dict(KERNEL_EI, truncation={"order": 5000}),
-                      "k_max": 4}, (), "order")]
+                      "k_max": 4}, (), "order"),
+        # a coefficient list longer than MAX_ORDER is still refused by key
+        ("spectrum", {"kernel": {"layers": [poly5000, square], "n": 1,
+                                 "d": 3}, "k_max": 4}, (), "order")]
     for i, (command, cfg, extra, key) in enumerate(cases):
         capsys.readouterr()
         rc, out = run(tmp_path, command, cfg, name=f"{i}.csv", extra=extra)
@@ -617,6 +621,33 @@ def test_config_a_max_guard(tmp_path, capsys):
         assert rc == EXIT_CONFIG, (command, cfg, extra, err)
         assert f"truncation.{key}" in err
         assert not out.exists()
+
+
+def test_spectrum_polynomial_f1_too_short_for_its_powers(tmp_path, capsys):
+    # f1 = x^3 with A_max 16 needs truncation.order >= 48 to hold f1^16
+    # whole; a shorter order is refused, and any order that holds it gives
+    # the rows of a longer one
+    def cfg(order):
+        layers = [{"activation": "poly", "coeffs": [0, 0, 0, 1]},
+                  {"activation": "exp"}]
+        return {"kernel": {"layers": layers, "n": 1, "d": 3,
+                           "truncation": {"order": order, "Q_max": 16,
+                                          "A_max": 16}},
+                "k_max": 11}
+
+    for order in (11, 47):
+        capsys.readouterr()
+        rc, out = run(tmp_path, "spectrum", cfg(order), name=f"{order}.csv")
+        assert rc == EXIT_CONFIG
+        assert "truncation.order" in capsys.readouterr().err
+        assert not out.exists()
+    rc, out = run(tmp_path, "spectrum", cfg(64), name="64.csv")
+    assert rc == EXIT_OK
+    _, want = read_rows(out)
+    for order in (48, 49):
+        rc, out = run(tmp_path, "spectrum", cfg(order), name=f"{order}.csv")
+        assert rc == EXIT_OK
+        assert read_rows(out)[1] == want
 
 
 @pytest.mark.parametrize("extra", [("--kmax", "0"), ("--kmax", "-2"),

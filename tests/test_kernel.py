@@ -12,13 +12,13 @@ from hypothesis.extra.numpy import arrays
 
 from harmonica import kernel
 from harmonica.activations import activation
-from harmonica.errors import StructuralError, TruncationError
+from harmonica.errors import ConvergenceError, StructuralError, TruncationError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import (TruncationConfig, build_kernel, cross_gram,
                               eval_kernel, gram)
 from harmonica.taylor import eval_series
 
-from helpers import constant_kernel, dense_gram
+from helpers import constant_kernel, dense_gram, outer_degree, top_index
 
 
 def test_build_square_outer():
@@ -59,8 +59,8 @@ def _layer_degree(a):
 @given(layers=st.lists(_POLY_LAYERS, min_size=1, max_size=4),
        order=st.integers(1, 10), q_max=st.integers(1, 40),
        l_max=st.integers(1, 10))
-# a top coefficient at Q_max reads as a cut-off infinite series to the
-# composition tail estimate; the polynomial composes exactly all the same
+# a top coefficient at Q_max: the layer states its degree, so the
+# composition tail is exactly 0 and the polynomial composes whole
 @example(layers=[activation("identity"), activation("identity"),
                  activation("poly", coeffs=[0.0] * 6 + [1.0, 1.0])],
          order=1, q_max=7, l_max=8)
@@ -83,8 +83,35 @@ def test_build_kernel_holds_or_refuses_polynomial_layers(layers, order,
             build_kernel(layers, 2, 3, trunc)
         return
     spec = build_kernel(layers, 2, 3, trunc)
-    assert spec.f1.degree() == degrees[0]
-    assert spec.g.degree() == spec.D == D
+    assert spec.f1.degree == top_index(spec.f1) == degrees[0]
+    assert spec.g.degree == top_index(spec.g) == spec.D == D
+
+
+# the outer layers' kinds mixed: infinite series, polynomials and constants
+_MIXED_LAYERS = st.one_of(
+    st.sampled_from([activation("exp"), activation("geometric", ratio=0.3),
+                     activation("erf_sigmoid"), activation("smooth_hinge"),
+                     activation("poly", coeffs=[0.0]),
+                     activation("poly", coeffs=[0.5])]),
+    _POLY_LAYERS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(layers=st.lists(_MIXED_LAYERS, min_size=1, max_size=4),
+       q_max=st.integers(8, 48))
+@example(layers=[activation("exp"), activation("poly", coeffs=[0.0]),
+                 activation("exp")], q_max=16)
+@example(layers=[activation("exp"), activation("exp"),
+                 activation("poly", coeffs=[0.5])], q_max=16)
+def test_outer_degree_matches_layer_degree_rule(layers, q_max):
+    # D is read from g's degree, which the series arithmetic carries; on
+    # every stack that builds it is the product of the outer layers'
+    # degrees read off their kinds, or 0 with a constant layer among them
+    try:
+        spec = build_kernel(layers, 2, 3, TruncationConfig(q_max=q_max))
+    except (TruncationError, ConvergenceError):
+        return  # refusals are the subject of the test above
+    assert spec.D == outer_degree(layers)
 
 
 def test_eval_square_square():

@@ -182,7 +182,8 @@ def test_lambda_table_convergence_guard():
     with pytest.raises(ConvergenceError, match=r"^s-series tail 5\.107e-05 "
                        r">= 1\.0e-12 at k=0, alpha=1; raise the f1 order$"):
         lambda_table(short, 2, 60, 1)
-    growing = series_from([1.1 ** m for m in range(41)], nonneg=True)
+    growing = series_from([1.1 ** m for m in range(41)], nonneg=True,
+                          degree=math.inf)
     with pytest.raises(ConvergenceError, match=r"^s-series still growing at "
                        r"the coefficient boundary \(k=0, alpha=1\); raise "
                        r"the f1 order$"):
@@ -194,9 +195,9 @@ def _parity_gapped(d):
     with a zero constant (leading zeros in f1^alpha), odd degrees only
     (all-zero subsequences), and a polynomial (sums that end exactly)."""
     even = series_from([0.5 ** (m // 2) if m and m % 2 == 0 else 0.0
-                        for m in range(201)], nonneg=True)
+                        for m in range(201)], nonneg=True, degree=math.inf)
     odd = series_from([0.5 ** (m // 2) if m % 2 else 0.0
-                       for m in range(202)], nonneg=True)
+                       for m in range(202)], nonneg=True, degree=math.inf)
     poly = series_from([0.0, 0.5, 0.0, 0.5], order=40, nonneg=True)
     return [(f1, d, 12, 4) for f1 in (even, odd, poly)]
 
@@ -226,6 +227,30 @@ def test_parity_gapped_cases_reach_every_branch():
     tail = np.concatenate([t.tail.ravel() for t in tables])
     assert (lam == 0).any() and ((lam > 0) & (tail == 0)).any()
     assert (tail > 0).any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(coeffs=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                       min_size=1, max_size=6),
+       a_max=st.integers(0, 6), order=st.integers(0, 30),
+       k_max=st.integers(0, 30), d=st.sampled_from([2, 3, 5]))
+def test_lambda_table_on_polynomials_is_exact_or_refused(coeffs, a_max,
+                                                         order, k_max, d):
+    # a polynomial f1 holds f1^a_max whole, and then every s-series ends:
+    # no tail, and the same bits as at any larger order; or it is refused
+    f1 = series_from(coeffs, order=order, nonneg=True)
+    k_max = min(k_max, order)
+    degree = a_max * f1.degree
+    if degree > order:
+        with pytest.raises(TruncationError, match=(
+                rf"^f1\^{a_max} has degree {degree}, above the f1 order "
+                rf"{order}; raise truncation\.order$")):
+            lambda_table(f1, d, k_max, a_max)
+        return
+    table = lambda_table(f1, d, k_max, a_max)
+    longer = lambda_table(f1.truncated(order + 17), d, k_max, a_max)
+    np.testing.assert_array_equal(table.lam, longer.lam)
+    assert not table.tail.any() and not longer.tail.any()
 
 
 def test_mu_profile_beyond_dstar_is_exact_zero():
@@ -306,10 +331,14 @@ def test_mu_outer_degree_beyond_expansion():
     with pytest.raises(TruncationError):
         build_kernel([activation("exp"),
                       activation("poly", coeffs=[0.0] * 12 + [1.0])], 1, 3, tc)
-    # so is a spec built directly with an outer degree past its g
-    with pytest.raises(TruncationError):
-        KernelSpec(f1=EXP, g=series_from([0.0, 1.0], order=8), n=1, d=3,
-                   D=12.0)
+    # so is a spec built directly with an outer polynomial past its g,
+    # or with an f1 polynomial past its order
+    with pytest.raises(TruncationError, match=r"truncation\.Q_max"):
+        KernelSpec(f1=EXP, g=series_from([0.0] * 12 + [1.0], order=8), n=1,
+                   d=3)
+    with pytest.raises(TruncationError, match=r"truncation\.order"):
+        KernelSpec(f1=series_from([0.0] * 12 + [1.0], order=8),
+                   g=series_from([0.0, 1.0], order=8), n=1, d=3)
 
 
 def test_profile_multiplicities():

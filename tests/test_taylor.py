@@ -82,6 +82,64 @@ def test_compose_exp_exp_against_finite_differences():
         assert got.coeffs[m] == pytest.approx(oracle, rel=1e-8)
 
 
+def test_compose_polynomial_ending_at_its_order_is_exact():
+    # x^6 + x^7 stored at order 7 states degree 7: it composes whole, with
+    # no tail to estimate, however its top coefficients sit
+    outer = series_from([0.0] * 6 + [1.0, 1.0], order=7)
+    assert outer.degree == 7 and outer.whole
+    got = compose(outer, identity_series(7), 7)
+    assert got.coeffs == (0.0,) * 6 + (1.0, 1.0)
+    assert got.degree == 7
+
+
+def test_degree_rules():
+    # a coefficient list gives its last nonzero index, kept when truncated;
+    # products add degrees, composition multiplies them, a constant gives 0
+    cubic = series_from([1.0, 0.0, 0.0, 2.0, 0.0], order=6)
+    assert cubic.degree == 3 and cubic.whole
+    short = series_from([1.0, 0.0, 0.0, 2.0], order=2)
+    assert short.degree == 3 and not short.whole
+    assert cubic.truncated(2).degree == 3
+    assert series_from([0.0], order=4).degree == 0
+    assert exp_series(8).degree == geometric_series(0.5, 8).degree == math.inf
+    assert not exp_series(8).whole
+    assert cauchy_product(cubic, cubic, 4).degree == 6
+    assert cauchy_product(cubic, exp_series(8), 4).degree == math.inf
+    assert power_table(cubic, 12)(4).degree == 12
+    assert power(cubic, 0, 5).degree == 0
+    const = series_from([0.5], order=6)
+    assert compose(cubic, series_from([0.0, 0.0, 1.0]), 6).degree == 6
+    assert compose(cubic, exp_series(6), 6).degree == math.inf
+    assert compose(const, exp_series(6), 6).degree == 0
+    assert compose(exp_series(64), const, 6).degree == 0
+
+
+def test_degree_validation():
+    with pytest.raises(ValueError, match="past it"):
+        CoeffSeries((1.0, 0.0, 3.0), degree=1)
+    for bad in (-1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="neither"):
+            CoeffSeries((1.0,), degree=bad)
+    assert CoeffSeries((1.0, 2.0), degree=5.0).degree == 5
+
+
+def test_composition_tail_reads_the_outer_degree():
+    inner = series_from([0.5, 0.5], order=8)  # inner(1) = 1
+    poly = series_from([1.0, 1.0, 1.0, 1.0])
+    assert composition_tail(poly, inner, 3) == 0.0
+    # past l_max the dropped terms of a whole polynomial are summed
+    assert composition_tail(poly, inner, 1) == 2.0
+    # a polynomial cut short has coefficients no one knows
+    assert composition_tail(series_from([1.0] * 4, order=2), inner, 8) \
+        == math.inf
+    # the same coefficients as a cut infinite series are extrapolated
+    geo = series_from([0.5 ** l for l in range(4)], degree=math.inf)
+    assert composition_tail(geo, inner, 8) == pytest.approx(0.125)
+    # nothing to extrapolate from: no bound
+    lone = series_from([1.0, 0.0, 0.0], degree=math.inf)
+    assert composition_tail(lone, inner, 8) == math.inf
+
+
 def test_compose_reports_divergence():
     # outer ~ geometric with ratio 0.9 evaluated at inner(1) = e > 1/0.9
     outer = geometric_series(0.9, 64)
@@ -204,8 +262,7 @@ def test_power_table_bitwise_equals_power(coeffs, order, alpha):
 def test_compose_matches_nested_evaluation(outer, r, t):
     # inner 1/(1 - r x) cut at degree 40, |r t| <= 1/8: with outer degree
     # <= 3 every dropped term is below C(43, 2) (r t)^41 < 1e-33
-    # two trailing zeros mark the outer series as a finite polynomial
-    outer = series_from(outer + [0.0, 0.0], nonneg=True)
+    outer = series_from(outer, nonneg=True)
     inner = series_from([r ** m for m in range(41)], nonneg=True)
     composed = compose(outer, inner, 40)
     want = eval_series(outer, eval_series(inner, t))
