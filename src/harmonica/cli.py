@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Every command reads a JSON config (validated against the published schemas),
-derives all randomness from --seed, and writes machine-readable output whose
-header carries the config hash and tool version. Exit codes: 0 success,
-2 config validation failure, a series or table truncated too short, an
-unwritable output or an array sized past what can be allocated,
-3 numerical tolerance failure.
+derives all randomness from --seed (>= 0), and writes machine-readable output
+whose header carries the config hash and tool version. --kmax and --tolerance
+are the config keys k_max and tolerance, written into the config before it
+is validated and hashed. Exit codes: 0 success, 2 config validation failure
+(a network or patch layout that does not fit included), a series or table
+truncated too short, an unwritable output or an array sized past what can be
+allocated, 3 numerical tolerance failure.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def load_config(path: str, command: str) -> dict:
+def load_config(path: str, command: str, overrides: dict | None = None) -> dict:
+    """The JSON config at ``path`` with ``overrides`` (top-level key: value)
+    written over it, checked against ``command``'s schema."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -80,6 +84,11 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    for key, value in (overrides or {}).items():
+        if not math.isfinite(float(str(value))):  # as for a literal above
+            raise ConfigError(f"{key}: non-finite number {value}")
+        if isinstance(cfg, dict):  # any other document fails the schema
+            cfg[key] = value
     errors = sorted(validate(cfg, SCHEMAS[command]), key=lambda e: e[0])
     if errors:
         at, message = errors[0]
@@ -150,11 +159,6 @@ def _activation_from(doc: dict) -> ActivationSpec:
         raise ConfigError(f"activation {doc['activation']!r}: {exc}") from exc
 
 
-def _override(value, cfg: dict, key: str, default):
-    """A command-line override if one was given, else the config's value."""
-    return value if value is not None else cfg.get(key, default)
-
-
 def kernel_from_config(doc: dict) -> KernelSpec:
     trunc = TruncationConfig.from_dict(doc.get("truncation", {}))
     acts = [_activation_from(a) for a in doc["layers"]]
@@ -168,7 +172,7 @@ def _table_for(spec: KernelSpec, k_max: int):
 
 def cmd_spectrum(cfg: dict, out: str, seed: int, args) -> int:
     spec = kernel_from_config(cfg["kernel"])
-    k_max = _override(args.kmax, cfg, "k_max", spec.trunc.k_max)
+    k_max = cfg.get("k_max", spec.trunc.k_max)
     table = _table_for(spec, k_max)
     entries = enumerate_spectrum(spec, table, k_max)
     rows = [(rank + 1, e.mu, e.multiplicity,
@@ -186,8 +190,7 @@ def cmd_spectrum(cfg: dict, out: str, seed: int, args) -> int:
     }
     try:
         lo, hi = cfg.get("fit_rank_range", (1, 10 ** 9))
-        fit = fit_decay(entries, m_min=lo, m_max=min(
-            hi, sum(e.multiplicity for e in entries)))
+        fit = fit_decay(entries, m_min=lo, m_max=hi)
         summary.update({"p": fit["exponent_p"], "gamma": fit["gamma"],
                         "goodness": fit["goodness"],
                         "counting_slope": _finite_or_none(fit["counting_slope"])})
@@ -210,8 +213,8 @@ def _json_path(out: str) -> str:
 
 def cmd_reconstruct(cfg: dict, out: str, seed: int, args) -> int:
     spec = kernel_from_config(cfg["kernel"])
-    k_max = _override(args.kmax, cfg, "k_max", spec.trunc.k_max)
-    tol = _override(args.tolerance, cfg, "tolerance", 1e-5)
+    k_max = cfg.get("k_max", spec.trunc.k_max)
+    tol = cfg.get("tolerance", 1e-5)
     pairs = int(cfg.get("pairs", 100))
     table = _table_for(spec, k_max)
     expansion = SpectralExpansion(spec, table, k_max)
@@ -264,8 +267,6 @@ def _target_from(cfg: dict, spec: KernelSpec, seed):
         return lambda xs: cnn.forward(params, acts, xs)
     profiles = [(tuple(p["degrees"]), p.get("coeff", 1.0))
                 for p in doc.get("profiles", [{"degrees": [1], "coeff": 1.0}])]
-    if any(not p for p, _ in profiles):
-        raise ConfigError("target: a profile needs at least one degree")
     k_hi = max((max(p) for p, _ in profiles), default=1)
     table = _table_for(spec, max(k_hi, 1))
     anchor = sample_uniform_batch(1, spec.n, spec.d, (seed, 99))[0]
@@ -297,7 +298,7 @@ def cmd_learning_curve(cfg: dict, out: str, seed: int, args) -> int:
 
 def cmd_gram_eig(cfg: dict, out: str, seed: int, args) -> int:
     spec = kernel_from_config(cfg["kernel"])
-    k_max = _override(args.kmax, cfg, "k_max", spec.trunc.k_max)
+    k_max = cfg.get("k_max", spec.trunc.k_max)
     ell = int(cfg.get("ell", 2000))
     top_k = int(cfg.get("top_k", 10))
     if top_k > ell:
@@ -334,10 +335,7 @@ def cmd_cnn_label(cfg: dict, out: str, seed: int, args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"image {path} ({img.h}x{img.w}), r={r}: "
                                   f"{exc}") from exc
-            try:  # a configured location whose window leaves the image
-                rows.append(extract_patches(img, pc))
-            except StructuralError as exc:
-                raise ConfigError(str(exc)) from exc
+            rows.append(extract_patches(img, pc))
         if any(x.shape != rows[0].shape for x in rows):
             raise ConfigError("images yield inconsistent patch layouts")
         xs = np.stack(rows)
@@ -382,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--kmax", type=int, default=None,
-                    help="override the spectral degree cutoff")
+                    help="the config key k_max: spectral degree cutoff")
     ap.add_argument("--tolerance", type=float, default=None,
-                    help="failure threshold for reconstruct")
+                    help="the config key tolerance: reconstruct's threshold")
     return ap
 
 
@@ -392,17 +390,17 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        # the same limits the schemas put on k_max and tolerance
-        if args.kmax is not None and args.kmax < 1:
-            raise ConfigError("--kmax must be >= 1")
-        if args.tolerance is not None and not args.tolerance > 0.0:
-            raise ConfigError("--tolerance must be > 0")
-        cfg = load_config(args.config, args.command)
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        flags = {"k_max": args.kmax, "tolerance": args.tolerance}
+        cfg = load_config(args.config, args.command,
+                          {k: v for k, v in flags.items() if v is not None})
         # the commands refuse an overflow or a nan by their own finiteness
         # and tolerance checks, so numpy's RuntimeWarnings are only noise
         with np.errstate(all="ignore"):
             return COMMANDS[args.command](cfg, args.out, args.seed, args)
-    except (ConfigError, TruncationError) as exc:
+    # a size chain, layout or window the config asked for does not fit
+    except (ConfigError, StructuralError, TruncationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OutputError as exc:

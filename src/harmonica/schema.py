@@ -217,7 +217,8 @@ LEARNING_CURVE_SCHEMA = {
                         "type": "object",
                         "properties": {
                             "degrees": {"type": "array",
-                                        "items": {"type": "integer", "minimum": 0}},
+                                        "items": {"type": "integer", "minimum": 0},
+                                        "minItems": 1},
                             "coeff": {"type": "number"},
                         },
                         "required": ["degrees"],

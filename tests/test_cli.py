@@ -652,12 +652,67 @@ def test_spectrum_polynomial_f1_too_short_for_its_powers(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [("--kmax", "0"), ("--kmax", "-2"),
                                    ("--tolerance", "0"),
-                                   ("--tolerance", "-0.001")])
+                                   ("--tolerance", "-0.001"),
+                                   ("--tolerance", "nan"),
+                                   ("--tolerance", "inf")])
 def test_out_of_range_overrides_refused(tmp_path, extra):
-    # an explicit 0 is an override, and the schema limits apply to it
+    # an explicit 0 is an override, and the schema limits apply to it; a
+    # nan passes every bound, so it is refused as a non-finite literal is
     cfg = {"kernel": KERNEL_EI, "k_max": 4, "pairs": 2}
     rc, out = run(tmp_path, "reconstruct", cfg, extra=extra)
     assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_flags_are_their_config_keys(tmp_path):
+    # --kmax and --tolerance are written into the config before it is
+    # hashed: the header records the settings the rows came from
+    cfg = {"kernel": KERNEL_EI, "k_max": 2, "pairs": 3, "tolerance": 1e-3}
+
+    def sha(path):
+        return next(h for h in read_rows(path)[0] if "config_sha256" in h)
+
+    _, k4 = run(tmp_path, "reconstruct", cfg, name="k4.csv",
+                extra=("--kmax", "4", "--tolerance", "0.5"))
+    _, k8 = run(tmp_path, "reconstruct", cfg, name="k8.csv",
+                extra=("--kmax", "8", "--tolerance", "0.5"))
+    _, key = run(tmp_path, "reconstruct", {**cfg, "k_max": 8, "tolerance": 0.5},
+                 name="key.csv")
+    assert sha(k4) != sha(k8)
+    assert read_rows(k4)[1] != read_rows(k8)[1]
+    assert k8.read_bytes() == key.read_bytes()
+
+
+FLAG_CONFIGS = {
+    "spectrum": {"kernel": KERNEL_EI, "k_max": 4},
+    "reconstruct": {"kernel": KERNEL_EI, "k_max": 10, "pairs": 2},
+    "learning-curve": {"kernel": KERNEL_EI, "schedule": {"beta": 2.0},
+                       "sizes": [8], "test_size": 4,
+                       "target": {"type": "zero"}},
+    "gram-eig": {"kernel": KERNEL_EI, "k_max": 4, "ell": 20, "top_k": 2},
+    "cnn-label": {"n": 2, "d": 3, "count": 2,
+                  "network": {"filters": [1], "activations": [
+                      {"activation": "exp"}]}},
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    # a flag whose config key the command's schema does not have
+    *((c, "--kmax=3") for c in ("learning-curve", "cnn-label")),
+    *((c, "--tolerance=0.1")
+      for c in ("spectrum", "gram-eig", "learning-curve", "cnn-label")),
+    # numpy's generators take no negative seed, and spectrum draws none
+    *((c, "--seed=-1") for c in sorted(FLAG_CONFIGS))])
+def test_flag_refused_with_nothing_written(tmp_path, capsys, command, flag):
+    rc, _ = run(tmp_path, command, FLAG_CONFIGS[command], name="ok.out")
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    rc, out = run(tmp_path, command, FLAG_CONFIGS[command], name="bad.out",
+                  extra=(flag,))
+    assert rc == EXIT_CONFIG
+    named = {"--kmax": "'k_max'", "--tolerance": "'tolerance'",
+             "--seed": "--seed"}[flag.split("=")[0]]
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -732,6 +787,27 @@ def test_learning_curve_bad_source_profile_is_config_error(tmp_path, kernel,
            "test_size": 50, "target": target}
     rc, out = run(tmp_path, "learning-curve", cfg)
     assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cnn-label", "learning-curve"])
+@pytest.mark.parametrize("sizes", [
+    {},  # two layers need one hidden patch size
+    {"patch_sizes": [5], "boundary": "valid"},  # wider than 3 positions
+], ids=["no-patch-sizes", "patch-wider-than-input"])
+def test_unbuildable_network_is_config_error(tmp_path, capsys, command,
+                                             sizes):
+    network = {"filters": [2, 1], **sizes,
+               "activations": [{"activation": "exp"}, {"activation": "exp"}]}
+    if command == "cnn-label":
+        cfg = {"n": 3, "d": 3, "network": network}
+    else:
+        cfg = {"kernel": {**KERNEL_EI, "n": 3}, "schedule": {"beta": 2.0},
+               "sizes": [8], "test_size": 4,
+               "target": {"type": "network", "network": network}}
+    rc, out = run(tmp_path, command, cfg)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
 
 
