@@ -4,10 +4,12 @@ Every command reads a JSON config (validated against the published schemas),
 derives all randomness from --seed (>= 0), and writes machine-readable output
 whose header carries the config hash and tool version. --kmax and --tolerance
 are the config keys k_max and tolerance, written into the config before it
-is validated and hashed. Exit codes: 0 success, 2 config validation failure
-(a network or patch layout that does not fit included), a series or table
-truncated too short, an unwritable output or an array sized past what can be
-allocated, 3 numerical tolerance failure.
+is validated and hashed. Every command takes --threads (>= 1); only
+learning-curve runs more than one. Exit codes: 0 success, 2 config
+validation failure (a network or patch layout that does not fit included, a
+negative --seed or a --threads below 1), a series or table truncated too
+short, an unwritable output or an array sized past what can be allocated,
+3 numerical tolerance failure.
 """
 
 from __future__ import annotations
@@ -221,10 +223,9 @@ def cmd_reconstruct(cfg: dict, out: str, seed: int, args) -> int:
     xs = sample_uniform_batch(pairs, spec.n, spec.d, (seed, 0))
     ys = sample_uniform_batch(pairs, spec.n, spec.d, (seed, 1))
     spectral = expansion.reconstruct(xs, ys)
-    rows = []
-    for i, (x, y, s) in enumerate(zip(xs, ys, spectral.tolist())):
-        direct = eval_kernel(spec, x, y)
-        rows.append((i, direct, s, abs(direct - s)))
+    direct = eval_kernel(spec, xs, ys)
+    rows = [(i, k, s, abs(k - s)) for i, (k, s)
+            in enumerate(zip(direct.tolist(), spectral.tolist()))]
     # nonnegative series: |K| <= K(x, x), so a zero diagonal means K == 0
     # and the error is measured absolutely
     scale = spec.diag_value() or 1.0
@@ -392,6 +393,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:  # numpy's generators take no negative seed
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         flags = {"k_max": args.kmax, "tolerance": args.tolerance}
         cfg = load_config(args.config, args.command,
                           {k: v for k, v in flags.items() if v is not None})

@@ -4,21 +4,23 @@ The kernel is g(sum_i f1(<x_i, y_i>)) with f1 the innermost majorant series
 and g the composed chain of the outer majorants. `eval_kernel`, `gram`,
 `cross_gram` and `KernelSpec.diag_value` all evaluate it through one
 function, `_kernel_values`, which takes the inner products patch by patch.
-Its Horner passes (`eval_series`) stop at each series' last nonzero
-coefficient, so padding f1 or g to a larger order changes no bit of any
-value. Gram matrices are built one tile of rows at a time: a tile's
-per-patch inner products come from one matrix product into a scratch tile
-of about TILE_BYTES, the clip, both Horner passes and the patch sum run in
-place in two more such tiles, and the finished tile is written into the
-result once. Peak memory is the result plus three tiles, never an (a, b, n)
-tensor or a whole-matrix temporary. `gram` computes only the tiles from
-the diagonal rightward and returns a `SymmetricGram`: the upper row
-blocks, back to back in one array of exactly their size. A product with
-a block of columns reads them alone, so a Krylov eigensolver keeps about
-half a Gram resident, and `krr.cho_factor` factors the blocks where they
-lie; `SymmetricGram.dense` (or ``np.asarray``) copies them into a new
-ell x ell array, copies the strict upper triangle into the lower one, so
-the dense Gram is exactly symmetric, and drops the packed array. The
+`eval_kernel` takes one pair of (n, d) images, or two (count, n, d) batches
+that pair x[i] with y[i]; a batch's inner products come from one einsum,
+and one pair is a batch of one. The Horner passes (`eval_series`) stop at
+each series' last nonzero coefficient, so padding f1 or g to a larger order
+changes no bit of any value. Gram matrices are built one tile of rows at a
+time: a tile's per-patch inner products come from one matrix product into a
+scratch tile of about TILE_BYTES, the clip, both Horner passes and the
+patch sum run in place in two more such tiles, and the finished tile is
+written into the result once. Peak memory is the result plus three tiles,
+never an (a, b, n) tensor or a whole-matrix temporary. `gram` computes only
+the tiles from the diagonal rightward and returns a `SymmetricGram`: the
+upper row blocks, back to back in one array of exactly their size. A
+product with a block of columns reads them alone, so a Krylov eigensolver
+keeps about half a Gram resident, and `krr.cho_factor` factors the blocks
+where they lie; `SymmetricGram.dense` (or ``np.asarray``) copies them into
+a new ell x ell array, copies the strict upper triangle into the lower one,
+so the dense Gram is exactly symmetric, and drops the packed array. The
 spectral route lives in `spectrum` and the two are cross-checked by the
 Mercer reconstruction tests.
 
@@ -188,14 +190,21 @@ def _kernel_values(spec: KernelSpec, products, out=None):
     return eval_series(spec.g, total, out=f)
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """K(x, y) for two (n, d) patched images."""
+def eval_kernel(spec: KernelSpec, x, y):
+    """K(x, y) for two (n, d) patched images, as a float; or, for two
+    (count, n, d) batches of pairs, the (count,) array of K(x[i], y[i]).
+
+    A batch takes one einsum and one `_kernel_values` pass; one pair is a
+    batch of one.
+    """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    for z in (x, y):
-        if z.shape != (spec.n, spec.d):
-            raise StructuralError(
-                f"input {z.shape} does not match kernel ({spec.n},{spec.d})")
-    return float(_kernel_values(spec, np.einsum("nd,nd->n", x, y)))
+    if x.ndim == 2:
+        return float(eval_kernel(spec, x[None], y[None])[0])
+    x, y = _batch(spec, x), _batch(spec, y)
+    if len(x) != len(y):
+        raise StructuralError(
+            f"pair batches of {len(x)} and {len(y)} differ in count")
+    return _kernel_values(spec, np.einsum("cnd,cnd->nc", x, y))
 
 
 def _batch(spec: KernelSpec, xs) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact truncated power-series arithmetic over nonnegative coefficients.
+"""Truncated power-series arithmetic over nonnegative coefficients.
 
 Series are dense coefficient vectors truncated at a fixed order. Each one
 also records the degree of the function it stands for: an integer for a
@@ -8,10 +8,13 @@ order. The degree is set once, where a series is made, and never read off
 where its coefficients stop: a coefficient list gives its last nonzero
 index, the exp and geometric series give inf, products add degrees (so
 power l multiplies one by l) and composition multiplies them, where a
-degree-0 (constant) factor gives 0. Products use per-coefficient
-``math.fsum`` so results are independent of operand order, which the
-invariant tests rely on. Everything here is pure and safe to call
-concurrently.
+degree-0 (constant) factor gives 0. A product is one ``np.convolve`` of
+the two coefficient vectors, its operands put in a fixed order first, so
+it commutes bitwise; its coefficients are not correctly rounded, but each
+is within gamma_{m+1} = (m+1)u / (1 - (m+1)u) (u = 2^-53) of the exact
+sum relative to sum_k |a_k b_{m-k}|, which for the nonnegative majorants
+is the coefficient itself. Compositions sum their terms with per-coefficient
+``math.fsum``. Everything here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -161,16 +164,17 @@ def cauchy_product(a: CoeffSeries, b: CoeffSeries, order: int) -> CoeffSeries:
     """Truncated product: result[m] = sum_{k<=m} a[k] b[m-k], of degree
     a.degree + b.degree.
 
-    fsum keeps each coefficient correctly rounded, so the product commutes
-    exactly.
+    One ``np.convolve`` of the coefficient vectors cut to ``order``, then
+    truncated or zero-padded to order + 1 coefficients. The operands are
+    sorted first, so the product commutes bitwise. Each coefficient is
+    within gamma_{m+1} = (m+1)u / (1 - (m+1)u) of the exact sum, relative
+    to sum_k |a[k] b[m-k]|: the coefficient itself when both series are
+    nonnegative. A coefficient past the double range raises OverflowError.
     """
     check_order(order)
-    ca, cb = a.coeffs, b.coeffs
-    out = []
-    for m in range(order + 1):
-        lo = max(0, m - len(cb) + 1)
-        hi = min(m, len(ca) - 1)
-        out.append(math.fsum(ca[k] * cb[m - k] for k in range(lo, hi + 1)))
+    x, y = sorted((a.coeffs[:order + 1], b.coeffs[:order + 1]))
+    out = np.convolve(x, y)[:order + 1].tolist()
+    out += [0.0] * (order + 1 - len(out))
     return _computed_series(out, a.nonneg and b.nonneg, a.degree + b.degree)
 
 
@@ -185,8 +189,11 @@ def power(a: CoeffSeries, alpha: int, order: int) -> CoeffSeries:
 def power_table(a: CoeffSeries, order: int) -> Callable[[int], CoeffSeries]:
     """Memoized l -> a**l table, one left-fold product per new l.
 
-    Iterated left-fold products (not binary squaring), so that a**(i+j)
-    agrees with cauchy_product(a**i, a**j) coefficient-for-coefficient. The
+    Entry l is cauchy_product(a**(l-1), a) bitwise: a left fold, not binary
+    squaring, so an entry does not depend on which entries were asked for
+    first, and every table (and `power`) gives the same bits. A product
+    of two other entries, cauchy_product(a**i, a**j) with i, j > 1, agrees
+    with a**(i+j) only to within the rounding bound of the products. The
     l = 1 entry is a itself: cauchy_product(1, a) reproduces a exactly, so
     the O(order^2) product is skipped. Entry l has degree l * a.degree.
     """

@@ -15,7 +15,8 @@ from harmonica.errors import ConvergenceError
 from harmonica.harmonics import _jacobi_nodes, sphere_surface, zonal_poly_table
 from harmonica.kernel import KernelSpec, SymmetricGram, TruncationConfig, gram
 from harmonica.spectrum import _lgamma_halves
-from harmonica.taylor import power_table, series_from
+from harmonica.taylor import (CoeffSeries, _computed_series, check_order,
+                              power_table, series_from)
 
 
 def rls_objective(spec, data, fit) -> float:
@@ -24,6 +25,23 @@ def rls_objective(spec, data, fit) -> float:
     resid = data.ys - G @ fit.coeffs
     return float(np.mean(resid ** 2)
                  + fit.lam * fit.coeffs @ G @ fit.coeffs)
+
+
+def fsum_product(a: CoeffSeries, b: CoeffSeries, order: int) -> CoeffSeries:
+    """Truncated product: result[m] = sum_{k<=m} a[k] b[m-k], of degree
+    a.degree + b.degree.
+
+    fsum keeps each coefficient correctly rounded, so the product commutes
+    exactly.
+    """
+    check_order(order)
+    ca, cb = a.coeffs, b.coeffs
+    out = []
+    for m in range(order + 1):
+        lo = max(0, m - len(cb) + 1)
+        hi = min(m, len(ca) - 1)
+        out.append(math.fsum(ca[k] * cb[m - k] for k in range(lo, hi + 1)))
+    return _computed_series(out, a.nonneg and b.nonneg, a.degree + b.degree)
 
 
 def constant_kernel(value: float, n: int, d: int,

@@ -702,7 +702,9 @@ FLAG_CONFIGS = {
     *((c, "--tolerance=0.1")
       for c in ("spectrum", "gram-eig", "learning-curve", "cnn-label")),
     # numpy's generators take no negative seed, and spectrum draws none
-    *((c, "--seed=-1") for c in sorted(FLAG_CONFIGS))])
+    *((c, "--seed=-1") for c in sorted(FLAG_CONFIGS)),
+    # every command takes --threads, and none can run on fewer than one
+    *((c, f"--threads={v}") for c in sorted(FLAG_CONFIGS) for v in (0, -3))])
 def test_flag_refused_with_nothing_written(tmp_path, capsys, command, flag):
     rc, _ = run(tmp_path, command, FLAG_CONFIGS[command], name="ok.out")
     assert rc == EXIT_OK
@@ -711,7 +713,7 @@ def test_flag_refused_with_nothing_written(tmp_path, capsys, command, flag):
                   extra=(flag,))
     assert rc == EXIT_CONFIG
     named = {"--kmax": "'k_max'", "--tolerance": "'tolerance'",
-             "--seed": "--seed"}[flag.split("=")[0]]
+             "--seed": "--seed", "--threads": "--threads"}[flag.split("=")[0]]
     assert named in capsys.readouterr().err
     assert not out.exists()
 

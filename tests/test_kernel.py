@@ -288,6 +288,53 @@ def test_tiled_grams_bitwise_equal_untiled(name, n, d, count, other,
     assert np.array_equal(G, cross_gram(spec, xs, xs))
 
 
+_EVAL_KERNELS = {**_TILED_KERNELS,
+                 "erf_sigmoid->smooth_hinge": ([activation("erf_sigmoid"),
+                                                activation("smooth_hinge")],
+                                               None)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_EVAL_KERNELS)), n=st.integers(1, 4),
+       d=st.integers(2, 40),
+       count=st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)),
+       scale=st.sampled_from([1.0, 1.5]), seed=st.integers(0, 2 ** 16))
+@example(name="exp->exp", n=2, d=3, count=0, scale=1.0, seed=0)
+def test_batched_eval_bitwise_equals_pair_calls(name, n, d, count, scale,
+                                                seed):
+    # sphere samples, whose inner products BLAS or einsum round; at scale
+    # 1.5 some leave [-1, 1] and are clipped
+    acts, trunc = _EVAL_KERNELS[name]
+    spec = build_kernel(acts, n, d, trunc)
+    xs = scale * sample_uniform_batch(count, n, d, (seed, 0))
+    ys = sample_uniform_batch(count, n, d, (seed, 1))
+    got = eval_kernel(spec, xs, ys)
+    assert isinstance(got, np.ndarray) and got.shape == (count,)
+    assert got.dtype == float
+    pairs = [eval_kernel(spec, x, y) for x, y in zip(xs, ys)]
+    assert got.tolist() == pairs
+    # a pair, a batch of one, gives the float of the per-pair einsum
+    assert pairs == [
+        float(kernel._kernel_values(spec, np.einsum("nd,nd->n", x, y)))
+        for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ((5, 2, 3), (4, 2, 3)),  # counts differ
+    ((5, 2, 3), (5, 3, 3)),  # patches differ
+    ((5, 3, 3), (5, 3, 3)),  # both off the kernel's n
+    ((5, 2, 4), (5, 2, 4)),  # both off the kernel's d
+    ((5, 2, 3), (2, 3)),  # a batch against one pair
+    ((2, 3), (5, 2, 3)),
+    ((1, 5, 2, 3), (1, 5, 2, 3)),  # 4-D
+    ((6,), (6,)),  # 1-D
+])
+def test_batched_eval_shape_mismatch_rejected(xs, ys):
+    spec = build_kernel([activation("exp"), activation("identity")], 2, 3)
+    with pytest.raises(StructuralError):
+        eval_kernel(spec, np.ones(xs), np.ones(ys))
+
+
 def test_gram_exactly_symmetric_across_tiles():
     """Sphere samples whose products BLAS rounds: the lower triangle is a
     copy of the upper one, diagonal tiles included."""

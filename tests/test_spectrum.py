@@ -12,7 +12,7 @@ from harmonica.harmonics import funk_hecke_eigenvalue, sphere_surface
 from harmonica.image import sample_uniform
 from harmonica.kernel import (KernelSpec, TruncationConfig, build_kernel,
                               eval_kernel)
-from harmonica import spectrum
+from harmonica import spectrum, taylor
 from harmonica.spectrum import (KAPPA, SpectralExpansion, SpectrumEntry,
                                 canonical_profile, enumerate_spectrum,
                                 expand_spectrum, fit_decay, lambda_table,
@@ -22,7 +22,7 @@ from harmonica.taylor import (compose, exp_series, geometric_series,
                               power, series_from)
 
 from conftest import brute_force_mercer
-from helpers import gathered_lambda_table
+from helpers import fsum_product, gathered_lambda_table
 
 EXP = exp_series(64)
 
@@ -175,6 +175,20 @@ def test_lambda_table_powers_match_per_alpha_power(monkeypatch):
     slow = lambda_table(EXP, 3, 10, 6)
     np.testing.assert_array_equal(fast.lam, slow.lam)
     np.testing.assert_array_equal(fast.tail, slow.tail)
+
+
+def test_lambda_table_within_1e13_of_correctly_rounded_powers(monkeypatch):
+    # the mercer-reconstruct benchmark kernel (exp -> exp, order 128,
+    # A_max 24): powers from np.convolve products against powers whose
+    # every coefficient is correctly rounded
+    spec = build_kernel([activation("exp"), activation("exp")], 2, 3,
+                        TruncationConfig(series_order=128, a_max=24, q_max=24))
+    fast = lambda_table(spec.f1, 3, 16, spec.q_cap)
+    monkeypatch.setattr(taylor, "cauchy_product", fsum_product)
+    exact = lambda_table(spec.f1, 3, 16, spec.q_cap)
+    assert (exact.lam > 0).any()
+    np.testing.assert_allclose(fast.lam, exact.lam, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(fast.tail, exact.tail, rtol=1e-13, atol=0)
 
 
 def test_lambda_table_convergence_guard():

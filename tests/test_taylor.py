@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonica.errors import ConvergenceError, TruncationCapError
-from harmonica.taylor import (DEFAULT_L_MAX, CoeffSeries, cauchy_product,
-                              compose, composition_tail, eval_series,
-                              exp_series, geometric_series, identity_series,
-                              power, power_table, series_from)
+from harmonica.taylor import (DEFAULT_L_MAX, MAX_ORDER, CoeffSeries,
+                              cauchy_product, compose, composition_tail,
+                              eval_series, exp_series, geometric_series,
+                              identity_series, power, power_table,
+                              series_from)
 
 from conftest import brute_force_product, brute_force_power, fd_derivative
+from helpers import fsum_product
 
 
 def test_cauchy_product_binomial():
@@ -186,7 +188,7 @@ def test_commutativity_exact(rng):
         b = series_from(rng.uniform(0, 2, size=7))
         ab = cauchy_product(a, b, 10)
         ba = cauchy_product(b, a, 10)
-        assert ab.coeffs == ba.coeffs  # bitwise, thanks to fsum
+        assert ab.coeffs == ba.coeffs  # bitwise: operands sorted first
 
 
 def test_associativity_exact_on_integer_series():
@@ -196,6 +198,43 @@ def test_associativity_exact_on_integer_series():
     left = cauchy_product(cauchy_product(a, b, 8), c, 8)
     right = cauchy_product(a, cauchy_product(b, c, 8), 8)
     assert left.coeffs == right.coeffs
+
+
+U = 2.0 ** -53
+
+
+def _gamma(n: int) -> float:
+    return n * U / (1 - n * U)
+
+
+def _coeff_lists(signed: bool):
+    low = -1e3 if signed else 0.0
+    return st.lists(st.floats(min_value=low, max_value=1e3), min_size=1,
+                    max_size=64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), signed=st.booleans(),
+       order=st.one_of(st.integers(min_value=0, max_value=140),
+                       st.sampled_from([1000, 2048, MAX_ORDER])))
+def test_product_within_gamma_bound_of_correctly_rounded(data, signed, order):
+    # coefficient m of the product is within gamma_{m+1} of the exact sum,
+    # relative to S = sum_k |a[k] b[m-k]|; fsum_product's rounded products
+    # add u S more and its rounded sum half an ulp, and a product that
+    # underflows loses up to 2^-1075 per term
+    a = series_from(data.draw(_coeff_lists(signed)))
+    b = series_from(data.draw(_coeff_lists(signed)))
+    got = cauchy_product(a, b, order)
+    want = fsum_product(a, b, order)
+    size = fsum_product(series_from(np.abs(a.coeffs)),
+                        series_from(np.abs(b.coeffs)), order).coeffs
+    assert len(got.coeffs) == order + 1
+    assert (got.nonneg, got.degree) == (want.nonneg, want.degree)
+    assert cauchy_product(b, a, order).coeffs == got.coeffs
+    for m, (g, w, s) in enumerate(zip(got.coeffs, want.coeffs, size)):
+        bound = (_gamma(m + 1) + U) * s + np.spacing(abs(w)) / 2 \
+            + (m + 1) * 2.0 ** -1075
+        assert abs(g - w) <= bound, (m, g, w, s)
 
 
 def test_associativity_float(rng):

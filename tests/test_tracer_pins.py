@@ -7,15 +7,17 @@ run ``install()`` with a tracer that only checks each name, and pin the
 calls the traced metrics rest on: the per-profile ``mu_eigenvalue`` calls
 that ``spectrum.enum_yield`` divides by, and the Gram that the Nystrom
 eigensolver and the RLS fit get through ``krr.gram``, which
-``kernel.gram_s`` times and ``kernel.entries`` counts.
+``kernel.gram_s`` times and ``kernel.entries`` counts, and the one batched
+``cli.eval_kernel`` call of ``reconstruct``, which ``kernel.eval_s`` times.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 
-from harmonica import krr, spectrum
+from harmonica import cli, krr, spectrum
 from harmonica.activations import activation
 from harmonica.image import sample_uniform_batch
 from harmonica.kernel import build_kernel
@@ -79,3 +81,26 @@ def test_nystrom_and_rls_fit_get_their_gram_through_krr_gram(monkeypatch):
     data = krr.Dataset(xs=sample_uniform_batch(40, 2, 3, 1), ys=np.ones(40))
     krr.rls_fit(spec, data, 1e-2)
     assert calls == [50, 40]
+
+
+def test_reconstruct_evaluates_every_pair_in_one_eval_kernel_call(
+        monkeypatch, tmp_path):
+    # the tracer wraps cli.eval_kernel: the direct leg of reconstruct must
+    # run inside that one call, or kernel.eval_s would miss its time
+    calls = []
+    real = cli.eval_kernel
+
+    def counted(spec, xs, ys):
+        calls.append((np.shape(xs), np.shape(ys)))
+        return real(spec, xs, ys)
+
+    monkeypatch.setattr(cli, "eval_kernel", counted)
+    cfg = tmp_path / "reconstruct.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"layers": [{"activation": "exp"}, {"activation": "exp"}],
+                   "n": 2, "d": 3},
+        "k_max": 6, "pairs": 25, "tolerance": 1.0}))
+    rc = cli.main(["reconstruct", "--config", str(cfg),
+                   "--out", str(tmp_path / "out.csv")])
+    assert rc == cli.EXIT_OK
+    assert calls == [((25, 2, 3), (25, 2, 3))]
