@@ -6,8 +6,9 @@ whose header carries the config hash and tool version. --kmax and --tolerance
 are the config keys k_max and tolerance, written into the config before it
 is validated and hashed. Every command takes --threads (>= 1); only
 learning-curve runs more than one. Exit codes: 0 success, 2 config
-validation failure (a network or patch layout that does not fit included, a
-negative --seed or a --threads below 1), a series or table truncated too
+validation failure (a network or patch layout that does not fit, an
+activation parameter its kind does not take, a negative --seed or a
+--threads below 1 included), a series or table truncated too
 short, an unwritable output or an array sized past what can be allocated,
 3 numerical tolerance failure.
 """

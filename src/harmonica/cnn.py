@@ -152,14 +152,22 @@ def gaussian_pooling(n: int, width: float = 1.0) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
+# each pooling name with the n x n matrix it builds
+_POOLING_MATRICES = {"identity": np.eye, "gaussian": gaussian_pooling}
+POOLINGS = tuple(_POOLING_MATRICES)
+
+
 def random_params(n: int, d: int, filters, patch_sizes=(), seed=0,
                   boundary: str = "circular",
                   pooling: str = "identity") -> NetworkParams:
     """Gaussian weights for the size chain implied by filters/patch_sizes.
 
     filters lists p_2..p_{N+1} (so N = len(filters)); patch_sizes lists the
-    hidden extraction widths d_2..d_N (length N-1). Deterministic per seed.
+    hidden extraction widths d_2..d_N (length N-1); pooling is one of
+    POOLINGS. Deterministic per seed.
     """
+    if pooling not in POOLINGS:
+        raise ValueError(f"pooling must be one of {POOLINGS}")
     filters = tuple(int(p) for p in filters)
     patch_sizes = tuple(int(v) for v in patch_sizes)
     N = len(filters)
@@ -177,8 +185,7 @@ def random_params(n: int, d: int, filters, patch_sizes=(), seed=0,
                / math.sqrt(d_sizes[k] * p_sizes[k])
                for k in range(N)]
     w_out = rng.standard_normal(n_sizes[-1] * p_sizes[-1])
-    make_pool = np.eye if pooling == "identity" else gaussian_pooling
-    poolings = [make_pool(n_sizes[k]) for k in range(N)]
+    poolings = [_POOLING_MATRICES[pooling](n_sizes[k]) for k in range(N)]
     return NetworkParams(tuple(d_sizes), tuple(p_sizes), tuple(n_sizes),
                          tuple(weights), tuple(poolings), w_out,
                          boundary=boundary)

@@ -200,19 +200,28 @@ def eval_kernel(spec: KernelSpec, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 2:
         return float(eval_kernel(spec, x[None], y[None])[0])
-    x, y = _batch(spec, x), _batch(spec, y)
-    if len(x) != len(y):
-        raise StructuralError(
-            f"pair batches of {len(x)} and {len(y)} differ in count")
+    x, y = _pair_batches(spec, x, y)
     return _kernel_values(spec, np.einsum("cnd,cnd->nc", x, y))
 
 
 def _batch(spec: KernelSpec, xs) -> np.ndarray:
+    """``xs`` as a (count, n, d) float array of the kernel's layout;
+    StructuralError if it is not one."""
     a = np.asarray(xs, dtype=float)
     if a.ndim != 3 or a.shape[1:] != (spec.n, spec.d):
         raise StructuralError(
             f"batch {a.shape} does not match kernel (count,{spec.n},{spec.d})")
     return a
+
+
+def _pair_batches(spec: KernelSpec, xs, ys) -> tuple:
+    """Two `_batch` arrays that pair xs[i] with ys[i]; StructuralError if
+    their counts differ."""
+    a, b = _batch(spec, xs), _batch(spec, ys)
+    if len(a) != len(b):
+        raise StructuralError(
+            f"pair batches of {len(a)} and {len(b)} differ in count")
+    return a, b
 
 
 def _tile_rows(cols: int) -> int:

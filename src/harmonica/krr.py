@@ -528,8 +528,9 @@ class SourceTarget:
         self.k_hi = k_hi
 
     def __call__(self, xs) -> np.ndarray:
-        """Target values on a (count, n, d) batch; shape (count,)."""
-        pts = np.asarray(xs, dtype=float)
+        """Target values on a (count, n, d) batch; shape (count,).
+        StructuralError if the batch is not in the kernel's layout."""
+        pts = _batch(self.spec, xs)
         Z = zonal_features(self.k_hi, self.spec.d,
                            np.einsum("mnd,nd->mn", pts, self.anchor))
         out = np.zeros(len(pts))

@@ -7,10 +7,15 @@ integer), ``properties``, ``required``, ``additionalProperties: false``,
 ``exclusiveMinimum``/``exclusiveMaximum``. ``validate`` checks exactly that
 subset with Draft 2020-12 semantics, so the runtime needs no JSON Schema
 library; the tests hold it to ``jsonschema.Draft202012Validator`` on
-schema-valid and mutated configs for every command.
+schema-valid and mutated configs for every command. The activation,
+boundary and pooling enums are the name lists of the modules that interpret
+them (``activations.KINDS``, ``cnn.BOUNDARY_MODES``, ``cnn.POOLINGS``).
 """
 
 import operator
+
+from .activations import KINDS
+from .cnn import BOUNDARY_MODES, POOLINGS
 
 # keyword: (test that fails the value, wording after "<value> is")
 _BOUNDS = {
@@ -95,10 +100,7 @@ def validate(value, schema: dict, path: tuple = ()):
 _ACTIVATION = {
     "type": "object",
     "properties": {
-        "activation": {
-            "enum": ["exp", "square", "poly", "erf_sigmoid", "smooth_hinge",
-                     "custom", "identity", "geometric"],
-        },
+        "activation": {"enum": list(KINDS)},
         "coeffs": {"type": "array", "items": {"type": "number"}},
         "ratio": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     },
@@ -137,8 +139,8 @@ _NETWORK = {
         "filters": {"type": "array", "items": {"type": "integer", "minimum": 1},
                     "minItems": 1},
         "patch_sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "boundary": {"enum": ["circular", "valid"]},
-        "pooling": {"enum": ["identity", "gaussian"]},
+        "boundary": {"enum": list(BOUNDARY_MODES)},
+        "pooling": {"enum": list(POOLINGS)},
         "activations": {"type": "array", "items": _ACTIVATION, "minItems": 1},
         "weight_scale": {"type": "number"},
     },

@@ -72,7 +72,7 @@ from .errors import ConvergenceError, FitError, TruncationError
 # perfbench/layers.py wraps these names on this module
 from .harmonics import (funk_hecke_eigenvalue, harmonic_dim, sphere_surface,
                         zonal_features, zonal_poly_table)
-from .kernel import KernelSpec
+from .kernel import KernelSpec, _pair_batches
 from .taylor import CoeffSeries, power, power_table
 
 # Funk-Hecke eigenvalue / closed-form lambda, exact (module docstring)
@@ -410,10 +410,9 @@ class SpectralExpansion:
 
     def reconstruct(self, xs, ys) -> np.ndarray:
         """Spectral kernel values K(xs[i], ys[i]) for two (count, n, d)
-        batches; shape (count,)."""
-        a, b = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-        if a.shape != b.shape or a.shape[1:] != (self.spec.n, self.spec.d):
-            raise ValueError("inputs do not match the kernel layout")
+        batches; shape (count,). StructuralError if they do not pair up in
+        the kernel's layout."""
+        a, b = _pair_batches(self.spec, xs, ys)
         Z = zonal_features(self.k_max, self.spec.d,
                            np.einsum("mnd,mnd->nm", a, b))  # (k, n, count)
         F = Z.transpose(1, 2, 0) @ self._phi  # (n, count, Q)

@@ -253,23 +253,27 @@ def composition_tail(outer: CoeffSeries, inner: CoeffSeries,
     sum is explicit, and past its own order its coefficients are unknown
     (infinite tail). An outer series of degree inf has its tail extrapolated
     geometrically from the last two retained nonzero terms; fewer than two,
-    or terms not decaying (a divergent composition), give an infinite tail.
+    terms not decaying (a divergent composition) or a term past the double
+    range give an infinite tail.
     """
     l_top = min(l_max, outer.order)
     s = eval_series(inner, 1.0)
     if outer.degree <= l_top or s == 0.0:
         return 0.0  # nothing dropped, or inner**l = 0 for every l >= 1
-    if outer.whole:
-        return math.fsum(abs(outer.coeffs[l]) * s ** l
-                         for l in range(l_top + 1, outer.degree + 1))
-    if outer.degree != math.inf:
-        return math.inf  # a polynomial cut short: dropped terms unknown
-    nz = [l for l in range(l_top + 1) if outer.coeffs[l] != 0.0]
-    if len(nz) < 2:
-        return math.inf  # nothing to extrapolate from
-    l1, l2 = nz[-2], nz[-1]
-    t1 = abs(outer.coeffs[l1]) * s ** l1
-    t2 = abs(outer.coeffs[l2]) * s ** l2
+    try:  # S^l past the double range means an infinite tail
+        if outer.whole:
+            return math.fsum(abs(outer.coeffs[l]) * s ** l
+                             for l in range(l_top + 1, outer.degree + 1))
+        if outer.degree != math.inf:
+            return math.inf  # a polynomial cut short: dropped terms unknown
+        nz = [l for l in range(l_top + 1) if outer.coeffs[l] != 0.0]
+        if len(nz) < 2:
+            return math.inf  # nothing to extrapolate from
+        l1, l2 = nz[-2], nz[-1]
+        t1 = abs(outer.coeffs[l1]) * s ** l1
+        t2 = abs(outer.coeffs[l2]) * s ** l2
+    except (OverflowError, ValueError):
+        return math.inf
     if t2 == 0.0:
         return 0.0
     if t2 >= t1:

@@ -11,6 +11,7 @@ import numpy as np
 
 import harmonica
 from harmonica import kernel, krr
+from harmonica.activations import activation
 from harmonica.errors import ConvergenceError
 from harmonica.harmonics import _jacobi_nodes, sphere_surface, zonal_poly_table
 from harmonica.kernel import KernelSpec, SymmetricGram, TruncationConfig, gram
@@ -56,6 +57,18 @@ def constant_kernel(value: float, n: int, d: int,
 def top_index(series) -> int:
     """Index of the last nonzero coefficient of a series (0 if none)."""
     return max((m for m, c in enumerate(series.coeffs) if c), default=0)
+
+
+# the one parameter each kind takes; a kind not listed takes none (a
+# test-side copy of the catalog, which the refusal tests hold it to)
+TAKES = {"poly": "coeffs", "custom": "coeffs", "geometric": "ratio"}
+
+
+def activation_with(kind: str, coeffs=(0.5, 0.0, 2.0), ratio=0.9):
+    """An activation of ``kind`` given the one parameter that kind takes."""
+    own = {"coeffs": coeffs, "ratio": ratio}
+    return activation(kind, **{k: v for k, v in own.items()
+                               if TAKES.get(kind) == k})
 
 
 def activation_degree(a) -> float:

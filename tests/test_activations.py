@@ -3,14 +3,18 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
 from harmonica.activations import (KINDS, ActivationSpec, _erf, activation,
                                    evaluate, majorant_series, taylor_coeffs)
 from harmonica.errors import UnsupportedActivationError
-from harmonica.taylor import MAX_ORDER, eval_series, exp_series
+from harmonica.taylor import (MAX_ORDER, eval_series, exp_series,
+                              identity_series, series_from)
 
 from conftest import fd_derivative
+from helpers import TAKES, activation_with
 
 
 def test_exp_majorant():
@@ -46,8 +50,7 @@ def test_integral_activations_match_finite_differences(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_majorants_build_at_max_order(kind):
     # factorials overflow floats past 170; the coefficients must underflow
-    spec = activation(kind, coeffs=[0.5, 0.0, 2.0], ratio=0.9)
-    s = majorant_series(spec, MAX_ORDER)
+    s = majorant_series(activation_with(kind), MAX_ORDER)
     assert s.order == MAX_ORDER
     assert all(math.isfinite(v) and v >= 0.0 for v in s.coeffs)
 
@@ -155,3 +158,75 @@ def test_unknown_kind_rejected():
     with pytest.raises(UnsupportedActivationError):
         ActivationSpec("relu")
 
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name,value", [("coeffs", [0.0, 0.0, 0.0, 7.0]),
+                                        ("coeffs", []), ("ratio", 0.5)])
+def test_parameter_a_kind_does_not_take_is_refused(kind, name, value):
+    if TAKES.get(kind) == name:
+        return  # the kind's own parameter
+    spec = activation_with(kind)  # builds without the stray parameter
+    own = {TAKES[kind]: getattr(spec, TAKES[kind])} if kind in TAKES else {}
+    with pytest.raises(ValueError, match=f"{kind} activation takes no {name}"):
+        activation(kind, **own, **{name: value})
+
+
+@pytest.mark.parametrize("kind,args", [
+    ("poly", {}), ("custom", {"coeffs": []}),
+    ("poly", {"coeffs": [1.0, float("inf")]}), ("geometric", {}),
+    ("geometric", {"ratio": 1.0}), ("geometric", {"ratio": 0.0})])
+def test_missing_or_bad_own_parameter_is_refused(kind, args):
+    with pytest.raises(ValueError, match=f"{kind} activation needs"):
+        activation(kind, **args)
+
+
+def test_fixed_polynomials():
+    assert activation("square").polynomial == (0.0, 0.0, 1.0)
+    assert activation("identity").polynomial == (0.0, 1.0)
+    assert activation("poly", coeffs=[1, 2]).polynomial == (1.0, 2.0)
+    for kind in ("exp", "erf_sigmoid", "smooth_hinge"):
+        assert activation(kind).polynomial is None
+    assert activation("geometric", ratio=0.5).polynomial is None
+
+
+# every double but nan: +-0, subnormals, values whose square overflows, inf
+_DOUBLES = arrays(float, st.integers(0, 40), elements=st.floats(allow_nan=False))
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.4e154, -1.4e154,
+                   1e200, -1.8e308, np.inf, -np.inf])
+
+
+@given(x=_DOUBLES)
+@example(x=_EDGES)
+def test_square_and_identity_are_bitwise_the_replaced_formulas(x):
+    with np.errstate(all="ignore"):
+        assert (evaluate(activation("square"), x).tobytes()
+                == (x * x).tobytes())
+        assert (evaluate(activation("identity"), x).tobytes()
+                == (x + 0.0).tobytes())
+        for v in x[:3].tolist():  # a scalar gives a float
+            got = evaluate(activation("square"), v)
+            assert type(got) is float and got == v * v
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 64, MAX_ORDER])
+def test_square_and_identity_series_are_the_replaced_series(order):
+    assert (taylor_coeffs(activation("square"), order)
+            == series_from([0.0, 0.0, 1.0], order=order))
+    assert taylor_coeffs(activation("identity"), order) == identity_series(order)
+
+
+@given(coeffs=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=6),
+       x=arrays(float, st.integers(0, 20),
+                elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_poly_evaluates_bitwise_as_numpy_polyval(coeffs, x):
+    # the formula poly and custom used before they shared Horner's rule
+    # with square and identity: bitwise equal at every finite point of a
+    # polynomial that is not zero
+    assume(any(coeffs))
+    with np.errstate(all="ignore"):
+        want = np.polynomial.polynomial.polyval(x, np.asarray(coeffs))
+        for kind in ("poly", "custom"):
+            got = evaluate(activation(kind, coeffs=coeffs), x)
+            assert got.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from harmonica import cli
 from harmonica.cli import EXIT_CONFIG, EXIT_OK, EXIT_TOLERANCE, main
 
-from helpers import peak_rise, run_fresh
+from helpers import TAKES, peak_rise, run_fresh
 
 PERFBENCH_CONFIGS = (Path(__file__).resolve().parent.parent / "perfbench"
                      / "configs")
@@ -101,22 +101,123 @@ def test_reconstruct_overflow_is_numerical_failure(tmp_path, layers):
     assert not out.exists()
 
 
+def test_composition_tail_overflow_exits_3(tmp_path):
+    # S = g(1) = 2 * 5^8 when exp composes onto g: the tail estimate's S^l
+    # leaves the double range, and compose refuses the composition
+    layers = [{"activation": "exp"},
+              {"activation": "poly", "coeffs": [-1, 2, 2, 2]},
+              {"activation": "poly", "coeffs": [0] * 8 + [2]},
+              {"activation": "exp"}]
+    cfg = {"kernel": {"layers": layers, "n": 1, "d": 3,
+                      "truncation": {"Q_max": 44}}, "k_max": 1, "pairs": 1}
+    rc, out = run(tmp_path, "reconstruct", cfg)
+    assert rc == EXIT_TOLERANCE
+    assert not out.exists()
+
+
+# a config with each command's activation lists, and a getter for the
+# activation list that the stray parameter goes into
+_STRAY_BASES = {
+    "spectrum": ({"kernel": KERNEL_EI, "k_max": 4},
+                 lambda cfg: cfg["kernel"]["layers"]),
+    "reconstruct": ({"kernel": KERNEL_EI, "k_max": 20, "pairs": 3},
+                    lambda cfg: cfg["kernel"]["layers"]),
+    "gram-eig": ({"kernel": KERNEL_EI, "ell": 20, "top_k": 2, "k_max": 4},
+                 lambda cfg: cfg["kernel"]["layers"]),
+    "learning-curve": (
+        {"kernel": KERNEL_EI, "schedule": {"beta": 1.0, "mu_exp": 3.0},
+         "sizes": [10], "test_size": 5,
+         "target": {"type": "network",
+                    "network": {"filters": [1],
+                                "activations": [{"activation": "exp"}]}}},
+        lambda cfg: cfg["target"]["network"]["activations"]),
+    "cnn-label": ({"network": {"filters": [1],
+                               "activations": [{"activation": "exp"}]},
+                   "n": 1, "d": 3, "count": 2},
+                  lambda cfg: cfg["network"]["activations"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STRAY_BASES))
+@pytest.mark.parametrize("layer,stray", [
+    ({"activation": "exp"}, {"ratio": 0.5}),
+    ({"activation": "square"}, {"coeffs": [0, 0, 0, 7]}),
+    ({"activation": "identity"}, {"coeffs": []}),
+    ({"activation": "poly", "coeffs": [0, 1]}, {"ratio": 0.5}),
+    ({"activation": "geometric", "ratio": 0.5}, {"coeffs": [1]}),
+], ids=["exp-ratio", "square-coeffs", "identity-empty-coeffs", "poly-ratio",
+        "geometric-coeffs"])
+def test_parameter_a_kind_does_not_take_exits_2(tmp_path, capsys, command,
+                                                layer, stray):
+    base, layers_of = _STRAY_BASES[command]
+    cfg = json.loads(json.dumps(base))
+    layers_of(cfg)[-1] = dict(layer)
+    name = "out.jsonl" if command == "cnn-label" else "out.csv"
+    plain, bad = tmp_path / "plain", tmp_path / "stray"
+    plain.mkdir()
+    bad.mkdir()
+    rc, _ = run(plain, command, cfg, name=name)
+    assert rc == EXIT_OK, capsys.readouterr().err  # runs without the key
+    layers_of(cfg)[-1].update(stray)
+    capsys.readouterr()
+    rc, _ = run(bad, command, cfg, name=name)
+    assert rc == EXIT_CONFIG
+    [key] = stray
+    assert f"takes no {key}" in capsys.readouterr().err
+    # nothing but the config: no CSV, JSON or JSON lines written
+    assert [p.name for p in bad.iterdir()] == [f"{command}.json"]
+
+
 # every finite float is schema-valid: huge coefficients overflow the series
 # arithmetic, which must end in exit 3, not a traceback. main runs each
 # command under np.errstate, so the exit-code fuzzers also fail on a numpy
 # RuntimeWarning, which would reach stderr
 _COEFFS = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                    min_size=0, max_size=6)
+_RATIO = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                  exclude_max=True)
+_KINDS = ["exp", "square", "identity", "erf_sigmoid", "smooth_hinge",
+          "geometric", "poly", "custom"]
 _LAYER = st.one_of(
-    st.builds(lambda kind: {"activation": kind},
-              st.sampled_from(["exp", "square", "identity", "erf_sigmoid",
-                               "smooth_hinge", "geometric", "poly", "custom"])),
+    st.builds(lambda kind: {"activation": kind}, st.sampled_from(_KINDS)),
     st.builds(lambda kind, c: {"activation": kind, "coeffs": c},
               st.sampled_from(["poly", "custom"]), _COEFFS),
-    st.builds(lambda r: {"activation": "geometric", "ratio": r},
-              st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
-                        exclude_max=True)),
+    st.builds(lambda r: {"activation": "geometric", "ratio": r}, _RATIO),
+    # a parameter the kind does not take (alone, or beside its own): exit 2
+    st.one_of(
+        st.builds(lambda kind, c: {"activation": kind, "coeffs": c},
+                  st.sampled_from([k for k in _KINDS
+                                   if TAKES.get(k) != "coeffs"]), _COEFFS),
+        st.builds(lambda kind, r: {"activation": kind, "ratio": r},
+                  st.sampled_from([k for k in _KINDS
+                                   if TAKES.get(k) != "ratio"]), _RATIO),
+        st.builds(lambda kind, c, r: {"activation": kind, "coeffs": c,
+                                      "ratio": r},
+                  st.sampled_from(sorted(TAKES)), _COEFFS.filter(bool),
+                  _RATIO)),
 )
+
+
+# about two in three drawn layer lists carry a stray parameter, which stops
+# the command at exit 2; 100 examples leave each exit-code fuzzer about 40
+# configs that run further
+_FUZZ_EXAMPLES = 100
+
+
+def _has_stray(layers) -> bool:
+    """True when a layer carries a parameter its kind does not take."""
+    return any(key in layer and TAKES.get(layer["activation"]) != key
+               for layer in layers for key in ("coeffs", "ratio"))
+
+
+def _expected_exits(layers) -> tuple:
+    """Exit 2 for a stray parameter in a kernel's or network's layers,
+    else any of 0, 2 and 3; never 1."""
+    if _has_stray(layers):
+        return (EXIT_CONFIG,)
+    return (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
+
+
 _TRUNCATION = st.fixed_dictionaries({}, optional={
     "K_max": st.integers(0, 8), "A_max": st.integers(0, 8),
     "Q_max": st.integers(1, 24), "order": st.integers(1, 48),
@@ -126,7 +227,7 @@ _TRUNCATION = st.fixed_dictionaries({}, optional={
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=_FUZZ_EXAMPLES, deadline=None)
 @given(layers=st.lists(_LAYER, min_size=1, max_size=3),
        n=st.integers(1, 3), d=st.integers(2, 4),
        truncation=st.one_of(st.none(), _TRUNCATION),
@@ -138,7 +239,7 @@ def test_reconstruct_exit_codes_fuzz(layers, n, d, truncation, k_max, pairs):
     cfg = {"kernel": kernel, "k_max": k_max, "pairs": pairs}
     with tempfile.TemporaryDirectory() as tmp:
         rc, _ = run(Path(tmp), "reconstruct", cfg)
-    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_TOLERANCE)
+    assert rc in _expected_exits(layers)
 
 
 _KERNEL = st.fixed_dictionaries(
@@ -176,7 +277,7 @@ def _exit_code(command, cfg):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=_FUZZ_EXAMPLES, deadline=None)
 @given(kernel=_KERNEL, k_max=st.integers(1, 8),
        fit_rank_range=st.one_of(st.none(), st.lists(st.integers(1, 60),
                                                     min_size=2, max_size=2)))
@@ -199,12 +300,11 @@ def test_spectrum_exit_codes_fuzz(kernel, k_max, fit_rank_range):
     cfg = {"kernel": kernel, "k_max": k_max}
     if fit_rank_range is not None:
         cfg["fit_rank_range"] = fit_rank_range
-    assert _exit_code("spectrum", cfg) in (EXIT_OK, EXIT_CONFIG,
-                                           EXIT_TOLERANCE)
+    assert _exit_code("spectrum", cfg) in _expected_exits(kernel["layers"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=_FUZZ_EXAMPLES, deadline=None)
 @given(kernel=_KERNEL,
        schedule=st.fixed_dictionaries(
            {"beta": st.floats(min_value=0.0, max_value=2.0, exclude_min=True)},
@@ -219,12 +319,16 @@ def test_learning_curve_exit_codes_fuzz(kernel, schedule, sizes, test_size,
                                         target):
     cfg = {"kernel": kernel, "schedule": schedule, "sizes": sizes,
            "test_size": test_size, "target": target}
-    assert _exit_code("learning-curve", cfg) in (EXIT_OK, EXIT_CONFIG,
-                                                 EXIT_TOLERANCE)
+    expected = _expected_exits(kernel["layers"])
+    if expected != (EXIT_CONFIG,) and _has_stray(
+            target.get("network", {}).get("activations", [])):
+        # the kernel is built first, and may fail numerically first
+        expected = (EXIT_CONFIG, EXIT_TOLERANCE)
+    assert _exit_code("learning-curve", cfg) in expected
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=_FUZZ_EXAMPLES, deadline=None)
 @given(kernel=_KERNEL, ell=st.integers(1, 300), top_k=st.integers(1, 10),
        k_max=st.integers(1, 6))
 # a packed Gram of two blocks, the second of 9 rows
@@ -232,18 +336,17 @@ def test_learning_curve_exit_codes_fuzz(kernel, schedule, sizes, test_size,
                  "n": 2, "d": 3}, ell=129, top_k=3, k_max=4)
 def test_gram_eig_exit_codes_fuzz(kernel, ell, top_k, k_max):
     cfg = {"kernel": kernel, "ell": ell, "top_k": top_k, "k_max": k_max}
-    assert _exit_code("gram-eig", cfg) in (EXIT_OK, EXIT_CONFIG,
-                                           EXIT_TOLERANCE)
+    assert _exit_code("gram-eig", cfg) in _expected_exits(kernel["layers"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=_FUZZ_EXAMPLES, deadline=None)
 @given(network=_NETWORK, n=st.integers(1, 3), d=st.integers(2, 4),
        count=st.integers(1, 5))
 def test_cnn_label_exit_codes_fuzz(network, n, d, count):
     cfg = {"network": network, "n": n, "d": d, "count": count}
-    assert _exit_code("cnn-label", cfg) in (EXIT_OK, EXIT_CONFIG,
-                                            EXIT_TOLERANCE)
+    assert _exit_code("cnn-label", cfg) in _expected_exits(
+        network["activations"])
 
 
 def _write_image(path, fmt, pixels, maxval, cut):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from harmonica.activations import KINDS, activation, evaluate
-from harmonica.cnn import NetworkParams, forward, gaussian_pooling, random_params
+from harmonica.cnn import (POOLINGS, NetworkParams, forward, gaussian_pooling,
+                           random_params)
 from harmonica.errors import StructuralError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import build_kernel
 from harmonica.krr import Dataset, predict, rls_fit
+
+from helpers import activation_with
 
 SQ2 = [activation("square"), activation("square")]
 
@@ -69,7 +72,7 @@ def _forward_one(params, activations, x):
     ("circular", "identity"), ("valid", "identity"),
     ("circular", "gaussian"), ("valid", "gaussian")])
 def test_batched_forward_matches_per_sample(kind, boundary, pooling):
-    act = activation(kind, coeffs=[0.5, -1.0, 0.25], ratio=0.3)
+    act = activation_with(kind, coeffs=[0.5, -1.0, 0.25], ratio=0.3)
     xs = sample_uniform_batch(30, 5, 4, 9)
     for filters, patch_sizes in (([3, 2], [2]), ([2, 3, 1], [3, 2])):
         params = random_params(5, 4, filters, patch_sizes, seed=5,
@@ -82,6 +85,13 @@ def test_batched_forward_matches_per_sample(kind, boundary, pooling):
         # 1e-13 of the largest label rather than of itself
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
+
+
+def test_random_params_refuses_unknown_pooling():
+    with pytest.raises(ValueError, match="pooling must be one of"):
+        random_params(2, 4, filters=[1], seed=0, pooling="nonsense")
+    for pooling in POOLINGS:
+        random_params(2, 4, filters=[1], seed=0, pooling=pooling)
 
 
 def test_forward_refuses_mismatched_batch():

@@ -14,7 +14,7 @@ from harmonica.image import sample_uniform
 from harmonica.taylor import exp_series, geometric_series, series_from
 
 from conftest import zonal_oracle
-from helpers import zonal_orthogonality_error
+from helpers import activation_with, zonal_orthogonality_error
 
 
 def test_harmonic_dim_values():
@@ -172,7 +172,7 @@ def test_golub_welsch_nodes_match_scipy(a):
 
 @pytest.mark.parametrize("kind", ["exp", "erf_sigmoid", "geometric"])
 def test_derivative_coeffs_match_scipy_gammaln(kind):
-    g = majorant_series(activation(kind, ratio=0.9), 128)
+    g = majorant_series(activation_with(kind, ratio=0.9), 128)
     b = g.asarray()
     for k in (0, 1, 5, 40, 100):
         j = np.arange(b.size - k, dtype=float)

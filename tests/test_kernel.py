@@ -52,7 +52,7 @@ _POLY_LAYERS = st.one_of(
 
 
 def _layer_degree(a):
-    return {"square": 2, "identity": 1}.get(a.kind, len(a.coeffs) - 1)
+    return {"square": 2, "identity": 1}.get(a.kind) or len(a.coeffs) - 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -103,6 +103,10 @@ _MIXED_LAYERS = st.one_of(
                  activation("exp")], q_max=16)
 @example(layers=[activation("exp"), activation("exp"),
                  activation("poly", coeffs=[0.5])], q_max=16)
+# g(1) = 2 * 5^8 before exp composes onto it: the tail's S^l overflows
+@example(layers=[activation("exp"), activation("poly", coeffs=[-1, 2, 2, 2]),
+                 activation("poly", coeffs=[0.0] * 8 + [2.0]),
+                 activation("exp")], q_max=44)
 def test_outer_degree_matches_layer_degree_rule(layers, q_max):
     # D is read from g's degree, which the series arithmetic carries; on
     # every stack that builds it is the product of the outer layers'
@@ -112,6 +116,15 @@ def test_outer_degree_matches_layer_degree_rule(layers, q_max):
     except (TruncationError, ConvergenceError):
         return  # refusals are the subject of the test above
     assert spec.D == outer_degree(layers)
+
+
+def test_composition_whose_tail_overflows_is_refused():
+    # S = g(1) = 2 * 5^8, so S^l leaves the double range in the tail
+    # estimate of exp composed onto g: an infinite tail, not a crash
+    layers = [activation("exp"), activation("poly", coeffs=[-1, 2, 2, 2]),
+              activation("poly", coeffs=[0.0] * 8 + [2.0]), activation("exp")]
+    with pytest.raises(ConvergenceError, match="tail estimate inf"):
+        build_kernel(layers, 1, 3, TruncationConfig(q_max=44))
 
 
 def test_eval_square_square():

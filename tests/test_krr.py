@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from harmonica import krr
 from harmonica.activations import activation
-from harmonica.errors import SolverError
+from harmonica.errors import SolverError, StructuralError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import build_kernel, cross_gram, eval_kernel, gram
 from harmonica.krr import (Dataset, Schedule, SourceTarget,
@@ -574,6 +574,16 @@ def test_source_target_in_rkhs_and_batch():
                                rtol=1e-12)
     with pytest.raises(ValueError):
         SourceTarget(spec, tab, anchor, [((1, 1), 1.0)])  # mu = 0 leaves RKHS
+
+
+def test_source_target_refuses_batches_outside_the_kernel_layout():
+    spec = build_kernel(EI, 2, 3)
+    tab = lambda_table(spec.f1, 3, 4, spec.q_cap)
+    tgt = SourceTarget(spec, tab, sample_uniform(2, 3, 42), [((1, 0), 1.0)])
+    xs = sample_uniform_batch(3, 2, 3, 43)
+    for bad in (xs[0], xs[:, :1], np.zeros((3, 2, 4)), np.zeros((3, 3, 3))):
+        with pytest.raises(StructuralError):
+            tgt(bad)
 
 
 def test_source_target_matches_scalar_addition_theorem():

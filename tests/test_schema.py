@@ -14,6 +14,8 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harmonica.activations import KINDS
+from harmonica.cnn import BOUNDARY_MODES, POOLINGS
 from harmonica.schema import SCHEMAS, validate
 
 
@@ -119,6 +121,21 @@ def test_validate_agrees_with_jsonschema(command, data):
                     key=lambda e: e[0])
     assert bool(ours) == bool(theirs)
     assert ours[:1] == theirs[:1]
+
+
+def test_name_enums_are_the_interpreting_modules_lists():
+    layer = SCHEMAS["spectrum"]["properties"]["kernel"]["properties"][
+        "layers"]["items"]["properties"]
+    network = SCHEMAS["cnn-label"]["properties"]["network"]["properties"]
+    assert layer["activation"]["enum"] == list(KINDS)
+    assert network["activations"]["items"]["properties"] == layer
+    assert network["boundary"]["enum"] == list(BOUNDARY_MODES)
+    assert network["pooling"]["enum"] == list(POOLINGS)
+    # the order is part of the messages: "'x' is not one of [...]"
+    assert KINDS == ("exp", "square", "poly", "erf_sigmoid", "smooth_hinge",
+                     "custom", "identity", "geometric")
+    assert (BOUNDARY_MODES, POOLINGS) == (("circular", "valid"),
+                                          ("identity", "gaussian"))
 
 
 _INT_MIN_10 = {"type": "integer", "minimum": 10}

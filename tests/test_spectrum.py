@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonica.activations import activation
-from harmonica.errors import ConvergenceError, FitError, TruncationError
+from harmonica.errors import (ConvergenceError, FitError, StructuralError,
+                              TruncationError)
 from harmonica.harmonics import funk_hecke_eigenvalue, sphere_surface
-from harmonica.image import sample_uniform
+from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import (KernelSpec, TruncationConfig, build_kernel,
                               eval_kernel)
 from harmonica import spectrum, taylor
@@ -572,6 +573,22 @@ def test_reconstruct_refuses_short_table_and_outer_series():
     with pytest.raises(TruncationError):  # refused by build_kernel
         build_kernel([activation("exp"), poly6], 2, 3,
                      TruncationConfig(q_max=4))
+
+
+def test_reconstruct_refuses_batches_outside_the_kernel_layout():
+    # the layout check every batch consumer shares (kernel._batch)
+    spec = build_kernel([activation("exp"), activation("square")], 2, 3)
+    expansion = SpectralExpansion(spec, lambda_table(spec.f1, 3, 4,
+                                                     spec.q_cap), 4)
+    xs = sample_uniform_batch(3, 2, 3, 0)
+    for a, b in [(xs, xs[:2]),  # counts differ
+                 (xs[0], xs[0]),  # one image, no batch
+                 (xs[:, :1], xs[:, :1]),  # one patch of two
+                 (np.zeros((3, 2, 4)), np.zeros((3, 2, 4)))]:  # d = 4
+        with pytest.raises(StructuralError):
+            expansion.reconstruct(a, b)
+        with pytest.raises(StructuralError):
+            expansion.reconstruct(b, a)
 
 
 def test_eigenvalue_windows_shape():

@@ -221,7 +221,8 @@ def test_product_within_gamma_bound_of_correctly_rounded(data, signed, order):
     # coefficient m of the product is within gamma_{m+1} of the exact sum,
     # relative to S = sum_k |a[k] b[m-k]|; fsum_product's rounded products
     # add u S more and its rounded sum half an ulp, and a product that
-    # underflows loses up to 2^-1075 per term
+    # underflows loses up to 2^-1075 per term (ldexp: the float 2.0 ** -1075
+    # is 0)
     a = series_from(data.draw(_coeff_lists(signed)))
     b = series_from(data.draw(_coeff_lists(signed)))
     got = cauchy_product(a, b, order)
@@ -233,7 +234,7 @@ def test_product_within_gamma_bound_of_correctly_rounded(data, signed, order):
     assert cauchy_product(b, a, order).coeffs == got.coeffs
     for m, (g, w, s) in enumerate(zip(got.coeffs, want.coeffs, size)):
         bound = (_gamma(m + 1) + U) * s + np.spacing(abs(w)) / 2 \
-            + (m + 1) * 2.0 ** -1075
+            + math.ldexp(m + 1, -1075)
         assert abs(g - w) <= bound, (m, g, w, s)
 
 
