@@ -4,7 +4,8 @@ Every command reads a JSON config (validated against the published schemas),
 derives all randomness from --seed (>= 0), and writes machine-readable output
 whose header carries the config hash and tool version. --kmax and --tolerance
 are the config keys k_max and tolerance, written into the config before it
-is validated and hashed. Every command takes --threads (>= 1); only
+is validated and hashed; a flag whose key the command's schema lacks is
+refused by its name. Every command takes --threads (>= 1); only
 learning-curve runs more than one. Exit codes: 0 success, 2 config
 validation failure (a network or patch layout that does not fit, an
 activation parameter its kind does not take, a negative --seed or a
@@ -396,9 +397,16 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        flags = {"k_max": args.kmax, "tolerance": args.tolerance}
+        flags = {"k_max": ("--kmax", args.kmax),
+                 "tolerance": ("--tolerance", args.tolerance)}
+        keys = SCHEMAS[args.command]["properties"]
+        for key, (flag, value) in flags.items():
+            if value is not None and key not in keys:
+                raise ConfigError(f"{flag}: {args.command} has no config "
+                                  f"key {key}")
         cfg = load_config(args.config, args.command,
-                          {k: v for k, v in flags.items() if v is not None})
+                          {k: v for k, (_, v) in flags.items()
+                           if v is not None})
         # the commands refuse an overflow or a nan by their own finiteness
         # and tolerance checks, so numpy's RuntimeWarnings are only noise
         with np.errstate(all="ignore"):

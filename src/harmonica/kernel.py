@@ -24,6 +24,19 @@ so the dense Gram is exactly symmetric, and drops the packed array. The
 spectral route lives in `spectrum` and the two are cross-checked by the
 Mercer reconstruction tests.
 
+A kernel whose f1 and g are both polynomials has a finite monomial
+feature map (`features`), with K(x, y) = <features(x), features(y)> for
+patches of norm at most 1 (the clip then changes only rounding). f1 =
+sum_k a_k t^k gives each patch the features sqrt(a_k k!/alpha!) x^alpha,
+one per power k and multiset alpha of k of the d coordinates, P1 =
+n sum_k C(d + k - 1, k) in all; g = sum_m b_m s^m does the same over
+those P1 features, P = sum_m C(P1 + m - 1, m) (`feature_count`; math.inf
+for a non-polynomial layer). Each degree's monomials are built from the
+previous degree's columns, so `features` holds its (count, P) result and
+the monomials of two lower degrees, never a (count, P, m) tensor.
+`feature_gram` packs phi^T phi as a P x P `SymmetricGram`, for `krr` to
+factor or read eigenvalues from when P is small against the sample count.
+
 A polynomial layer cut short by its series is another kernel, and only this
 module refuses one (TruncationError), reading each series' own degree
 (`CoeffSeries.degree`): `build_kernel` a first layer past truncation.order,
@@ -366,3 +379,101 @@ def cross_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
         G[i0:i1] = T
     return G
 
+
+def _powers(s: CoeffSeries) -> list:
+    """The powers k with a nonzero coefficient in the polynomial s."""
+    return [k for k in range(s.degree + 1) if s.coeffs[k]]
+
+
+def _multisets(dim: int, k: int) -> int:
+    """Multisets of k out of dim indices: C(dim + k - 1, k)."""
+    return math.comb(dim + k - 1, k)
+
+
+def feature_count(spec: KernelSpec) -> float:
+    """Columns of `features`: P = sum of C(P1 + m - 1, m) over the powers m
+    of g, with P1 = n sum of C(d + k - 1, k) over the powers k of f1;
+    math.inf when f1 or g is not a polynomial."""
+    if math.inf in (spec.f1.degree, spec.D):
+        return math.inf
+    p1 = spec.n * sum(_multisets(spec.d, k) for k in _powers(spec.f1))
+    return sum(_multisets(p1, m) for m in _powers(spec.g))
+
+
+def _monomials(v: np.ndarray, s: CoeffSeries) -> np.ndarray:
+    """The (count, sum over powers k of C(D + k - 1, k)) features of the
+    rows of v, (count, D), for the polynomial s = sum_k c_k t^k: for each
+    power k, in increasing order, one column sqrt(c_k k!/alpha!) v^alpha
+    per multiset alpha of k column indices, so that a row pair's features
+    have the inner product s(<v_x, v_y>) (the multinomial theorem).
+
+    Degree k is built from degree k - 1: a multiset is a nondecreasing
+    index tuple, the tuples of one degree are ordered by their first
+    index, and column j of v times the tuples whose first index is at
+    least j (a contiguous tail) gives the tuples that start with j.
+    k!/alpha! follows the same way, times k over the count of j in the new
+    tuple. Degree 1 is v itself, and the last power's monomials are made
+    in the result and scaled there, so besides the result only the
+    monomials of two lower degrees are held at once.
+    """
+    count, dim = v.shape
+    powers = _powers(s)
+    out = np.empty((count, sum(_multisets(dim, k) for k in powers)))
+    at = 0
+    if powers and powers[0] == 0:
+        out[:, 0] = math.sqrt(s.coeffs[0])
+        at = 1
+    # the degree-1 tuples: their first index, its count, and k!/alpha!
+    M, first, lead, weight = v, np.arange(dim), np.ones(dim, int), np.ones(dim)
+    top = powers[-1] if powers else 0
+    for k in range(1, top + 1):
+        size = _multisets(dim, k)
+        if k > 1:
+            starts = np.searchsorted(first, np.arange(dim))
+            widths = M.shape[1] - starts
+            new = out[:, at:at + size] if k == top else np.empty((count, size))
+            o = 0
+            for j, (t, w) in enumerate(zip(starts, widths)):
+                np.multiply(v[:, j:j + 1], M[:, t:], out=new[:, o:o + w])
+                o += w
+            lead = np.concatenate([np.where(first[t:] == j, lead[t:] + 1, 1)
+                                   for j, t in enumerate(starts)])
+            weight = np.concatenate([weight[t:] for t in starts]) * k / lead
+            first = np.repeat(np.arange(dim), widths)
+            M = new
+        if s.coeffs[k]:
+            np.multiply(M, np.sqrt(s.coeffs[k] * weight),
+                        out=out[:, at:at + size])
+            at += size
+    return out
+
+
+def features(spec: KernelSpec, xs) -> np.ndarray:
+    """The (count, feature_count(spec)) monomial feature map of a batch,
+    for a kernel whose f1 and g are both polynomials: features(x) @
+    features(y).T is K(x, y) for patches of norm at most 1, up to rounding.
+
+    Each patch gets f1's features (see `_monomials`), P1 columns in all;
+    g's features of those P1 columns are the result. The products skip
+    the kernel's clip of each inner product to [-1, 1], which is why the
+    patches must lie in the unit ball: there the clip changes only
+    rounding. ValueError for a kernel with no finite feature map.
+    """
+    a = _batch(spec, xs)
+    if feature_count(spec) == math.inf:
+        raise ValueError("a kernel with a non-polynomial layer has no "
+                         "finite feature map")
+    inner = _monomials(a.reshape(-1, spec.d), spec.f1)
+    return _monomials(inner.reshape(len(a), -1), spec.g)
+
+
+def feature_gram(phi: np.ndarray) -> SymmetricGram:
+    """phi^T phi of a (count, P) feature array, packed as a P x P
+    `SymmetricGram` in row blocks of GRAM_BLOCK rows, each block's
+    diagonal square mirrored."""
+    P = phi.shape[1]
+    g = SymmetricGram(P, GRAM_BLOCK)
+    for r0, r1, B in g._blocks:
+        np.matmul(phi[:, r0:r1].T, phi[:, r0:], out=B)
+        _mirror_upper(B[:, :r1 - r0])
+    return g

@@ -7,8 +7,31 @@ derive from (seed, size) pairs so runs reproduce regardless of scheduling.
 Sample batches are (count, n, d) arrays, and a target is a function from
 such a batch to its (count,) labels.
 
-The linear algebra is numpy alone. A fit never unpacks its Gram:
-`rls_fit` adds the ridge to the diagonal of the packed
+Two routes. A kernel whose f1 and g are both polynomials has P =
+`kernel.feature_count` monomial features (`kernel.features`), and G =
+phi phi^T. `rls_fit`, `predict` and `nystrom_eigs` work on them (the
+feature route) when 2P <= ell (and, for `nystrom_eigs`, top_k <= P) and
+every patch has squared norm at most 1 + UNIT_SLACK, where the kernel's
+clip of each inner product to [-1, 1] changes only rounding; otherwise
+they take the Gram route below.
+With 2P <= ell, phi (ell P floats) holds no more than the packed Gram it
+replaces and phi^T phi (P^2 <= ell^2 / 4) less, and the work is about
+ell P^2 <= ell^3 / 4 multiply-adds against ell^2 kernel values and an
+ell^3 / 3 Cholesky factorization. `rls_fit` solves the primal system
+(phi^T phi + lambda l I) w = phi^T y, whose solution is w = phi^T c for
+the dual c (Saunders, Gammerman and Vovk, ICML 1998), in the packed
+layout and through the same `cho_factor` and `cho_solve`; the fitted
+values are phi w and c = (y - phi w) / shift, where the Gram route has
+fitted = y - shift c (see `FitResult`). `predict` takes features(x) @ w
+BLOCK points at a time, and `nystrom_eigs` the top eigenvalues of
+phi^T phi, which are the nonzero ones of G. The benchmark learning curve
+(square -> square, n = 2, d = 4: P = 210, so its sizes 800 and 1600 take
+the route and 200 and 400 do not) and the benchmark Nystrom run
+(identity -> square, n = 2, d = 3: P = 21) agree with their Gram-route
+outputs within about 1e-15 relative.
+
+The linear algebra is numpy alone. A Gram-route fit never unpacks its
+Gram: `rls_fit` adds the ridge to the diagonal of the packed
 `kernel.SymmetricGram` that `gram` returns, and `cho_factor` factors it
 as G = R^T R in those same upper row blocks, one block of R's rows over
 each block of G's (LAPACK's packed upper Cholesky, `dpptrf`, does the
@@ -24,9 +47,9 @@ columns at a time, and the inverse is stored in the diagonal square,
 where no later block reads.
 So an RLS fit holds the blocks, about half an ell x ell Gram, plus two
 128 x 512 scratch arrays: at ell = 1600 its peak rises by about 12.2 MiB
-for a 19.5 MiB dense Gram, and a learning curve at ell = 8000 peaks at
-about 284 MiB, against 535 MiB with the Gram unpacked (one OpenBLAS
-thread, 2-core x86-64 Linux). At ell = 1600 R agrees with
+for a 19.5 MiB dense Gram, and a Gram-route learning curve at ell = 8000
+peaks at about 284 MiB, against 535 MiB with the Gram unpacked (one
+OpenBLAS thread, 2-core x86-64 Linux). At ell = 1600 R agrees with
 `np.linalg.cholesky` within 1e-13 of the largest entry (a test holds it
 there). `cho_solve` runs the forward pass R^T z = b and the back pass
 R x = z over the same blocks: each diagonal block is one product with a
@@ -42,9 +65,9 @@ all of it: a randomized block Krylov method with Rayleigh-Ritz (Musco and
 Musco, NeurIPS 2015, arXiv 1504.05477). Each step costs one product of the
 Gram with a block of b = max(2k, k + 8) columns, which a packed
 `kernel.SymmetricGram` makes from its upper row blocks: the Krylov route
-never unpacks the Gram, and `nystrom_eigs` keeps about half of it
-resident. The run stops once the top k Ritz pairs have a residual block
-of Frobenius norm at most 1e-10 |theta_1|, which bounds every
+never unpacks the Gram, and a Gram-route `nystrom_eigs` keeps about
+half of it resident. The run stops once the top k Ritz pairs have a
+residual block of Frobenius norm at most 1e-10 |theta_1|, which bounds every
 |theta_i - lambda_i| by the same amount (see `eigvalsh`). The Krylov run
 may cost at most a quarter of the dense `np.linalg.eigvalsh` under a cost
 model fitted to timings of both routes; a Gram too small for two block
@@ -73,14 +96,18 @@ from .errors import SolverError
 # this module
 from .harmonics import sphere_surface, zonal_features, zonal_poly_table
 from .image import default_rng, sample_uniform_batch
-from .kernel import KernelSpec, SymmetricGram, _batch, cross_gram, gram
+from .kernel import (KernelSpec, SymmetricGram, _batch, cross_gram,
+                     feature_count, feature_gram, features, gram)
 from .spectrum import (LambdaTable, canonical_profile, expand_spectrum,
                        mu_eigenvalue)
 
 log = logging.getLogger(__name__)
 
-# test points per cross_gram call of predict
+# test points per cross_gram or features call of predict
 BLOCK = 128
+# squared patch norm past 1 that the feature route accepts: a few ulps, the
+# rounding of a normalized patch (at most 3 ulps measured for d = 9)
+UNIT_SLACK = 8 * np.finfo(float).eps
 # eigvalsh stops once the top-k residual block is this small against |theta_1|
 EIG_TOL = 1e-10
 # the Krylov route of eigvalsh may cost at most this share of the dense route
@@ -333,17 +360,22 @@ class Dataset:
 class FitResult:
     """Dual coefficients of one RLS solve plus the inputs they refer to.
 
-    ``xs`` is the (ell, n, d) training batch; ``fitted`` holds the fit's
-    values at those inputs, G c, taken as y - shift c from the labels y
-    and the diagonal shift of the solve (lambda ell, plus the jitter of a
-    retry): (G + shift I) c = y, so the two agree up to the solve's
-    residual, within 1e-12 relative in the tests.
+    ``xs`` is the (ell, n, d) training batch, and (G + shift I) c = y for
+    the labels y and the diagonal shift of the solve (lambda ell, plus the
+    jitter of a retry). ``weights`` is None on the Gram route: the solve
+    gives c, and ``fitted``, the fit's values G c at the training inputs,
+    is taken as y - shift c. On the feature route (see `rls_fit`) the
+    solve gives the primal weights w = phi^T c, held in ``weights``;
+    ``fitted`` is phi w and c is (y - fitted) / shift. Either way fitted
+    and G c agree up to the solve's residual, within 1e-12 relative in
+    the tests.
     """
 
     coeffs: np.ndarray
     lam: float
     xs: np.ndarray
     fitted: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -351,24 +383,44 @@ class FitResult:
         if c.size != len(self.xs) or f.size != len(self.xs):
             raise ValueError("coefficient and fitted counts must match "
                              "training size")
-        c.flags.writeable = False
-        f.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "fitted", f)
+        for name, a in (("coeffs", c), ("fitted", f),
+                        ("weights", self.weights)):
+            if a is not None:
+                a = np.asarray(a, dtype=float)
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
 
 
-def _bounded_gram(spec: KernelSpec, xs) -> SymmetricGram:
-    """gram(spec, xs), refusing a kernel whose values leave double range.
+def _check_diagonal(spec: KernelSpec) -> None:
+    """Refuse a kernel whose values leave double range.
 
     The series are nonnegative, so |K(x, y)| <= K(x, x) = diag_value()
-    bounds every entry. A diagonal whose double still fits leaves room for
-    the ridge shift that `rls_fit` adds to it.
+    bounds every entry of a Gram, and of phi^T phi on the feature route
+    (its trace is the Gram's). A diagonal whose double still fits leaves
+    room for the ridge shift that `rls_fit` adds to it.
     """
     diag = spec.diag_value()
     if not math.isfinite(2.0 * diag):
         raise OverflowError(f"kernel diagonal K(x, x) = {diag} leaves "
                             "room for no Gram arithmetic")
-    return gram(spec, xs)
+
+
+def _in_unit_ball(pts: np.ndarray) -> bool:
+    """True when every patch of the (count, n, d) batch has squared norm
+    at most 1 + UNIT_SLACK, so the kernel's clip of each inner product to
+    [-1, 1] changes nothing but rounding."""
+    return bool(np.einsum("cnd,cnd->cn", pts, pts).max(initial=0.0)
+                <= 1.0 + UNIT_SLACK)
+
+
+def _feature_route(spec: KernelSpec, pts: np.ndarray, rank: int = 1) -> bool:
+    """True when a computation over the Gram of ``pts`` runs on their
+    features instead: the kernel has P = feature_count(spec) features,
+    at least ``rank`` of them, and 2P <= ell, so phi holds no more floats
+    than the packed Gram and ell P^2 <= ell^3 / 4; and the patches lie in
+    the unit ball."""
+    count = feature_count(spec)
+    return rank <= count and 2 * count <= len(pts) and _in_unit_ball(pts)
 
 
 def _shift_diagonal(g: SymmetricGram, shift: float) -> None:
@@ -381,25 +433,42 @@ def _shift_diagonal(g: SymmetricGram, shift: float) -> None:
 def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
     """Solve (G + lambda l I) c = y by Cholesky, with one jitter retry.
 
-    G stays packed: the ridge, and on a retry the jitter, go onto the
-    diagonal of its upper row blocks, and `cho_factor` writes R, with
-    R_ii^-T in place of each diagonal block R_ii, over the blocks, so a
-    fit holds about half an ell x ell Gram and never unpacks it. The
+    Gram route: G stays packed, the ridge, and on a retry the jitter, go
+    onto the diagonal of its upper row blocks, and `cho_factor` writes R,
+    with R_ii^-T in place of each diagonal block R_ii, over the blocks,
+    so a fit holds about half an ell x ell Gram and never unpacks it. The
     fitted values are y - shift c (see `FitResult`), as G itself is
-    factored by then. A failed factorization leaves the blocks part
-    factor, so the retry and the condition number of a fit that fails
-    twice each rebuild the Gram through `gram`.
+    factored by then.
+
+    Feature route (`_feature_route`: a polynomial kernel with 2P <= ell
+    features, inputs in the unit ball): the primal system
+    (phi^T phi + lambda l I) w = phi^T y, whose solution is w = phi^T c
+    (Saunders, Gammerman and Vovk, ICML 1998), is built packed by
+    `kernel.feature_gram` and solved the same way, P x P instead of
+    ell x ell. trace(phi^T phi) = trace(G), so the jitter is the same.
+
+    A failed factorization leaves the blocks part factor, so the retry
+    and the condition number of a fit that fails twice each rebuild the
+    matrix; the condition number is that of the unjittered matrix the
+    route factors.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lambda must be positive and finite")
     ell = len(data)
     shift = lam * ell
-    g = _bounded_gram(spec, data.xs)
-    _shift_diagonal(g, shift)  # G + lambda l I, in place
+    _check_diagonal(spec)
+    phi = features(spec, data.xs) if _feature_route(spec, data.xs) else None
+    rhs = data.ys if phi is None else phi.T @ data.ys
+
+    def build() -> SymmetricGram:
+        return gram(spec, data.xs) if phi is None else feature_gram(phi)
+
+    g = build()
+    _shift_diagonal(g, shift)  # + lambda l I, in place
     try:
-        c = cho_solve(cho_factor(g), data.ys)
+        sol = cho_solve(cho_factor(g), rhs)
     except np.linalg.LinAlgError:
-        g = _bounded_gram(spec, data.xs)
+        g = build()
         diag = np.concatenate([B.diagonal() for _, _, B in g._blocks])
         jitter = 1e-12 * diag.sum() / ell
         log.info("rls_fit: Cholesky failed at ell=%d; retrying with jitter "
@@ -407,30 +476,41 @@ def rls_fit(spec: KernelSpec, data: Dataset, lam: float) -> FitResult:
         _shift_diagonal(g, shift)
         _shift_diagonal(g, jitter)
         try:
-            c = cho_solve(cho_factor(g), data.ys)
+            sol = cho_solve(cho_factor(g), rhs)
         except np.linalg.LinAlgError as exc:
-            G = np.asarray(_bounded_gram(spec, data.xs))
-            G[np.diag_indices(ell)] += shift  # the unjittered matrix
+            G = np.asarray(build())
+            G[np.diag_indices(len(G))] += shift  # the unjittered matrix
             cond = float(np.linalg.cond(G))
             raise SolverError(
-                f"Gram factorization failed even with jitter {jitter:.3e} "
+                f"Cholesky factorization failed even with jitter {jitter:.3e} "
                 f"(cond ~ {cond:.3e})", condition=cond) from exc
         shift += jitter
-    return FitResult(coeffs=c, lam=lam, xs=data.xs,
-                     fitted=data.ys - shift * c)
+    if phi is None:
+        return FitResult(coeffs=sol, lam=lam, xs=data.xs,
+                         fitted=data.ys - shift * sol)
+    fitted = phi @ sol
+    return FitResult(coeffs=(data.ys - fitted) / shift, lam=lam, xs=data.xs,
+                     fitted=fitted, weights=sol)
 
 
 def predict(spec: KernelSpec, fit: FitResult, xs) -> np.ndarray:
     """f(x) = sum_i c_i K(x, x_i) for each point of a (count, n, d) batch.
 
-    The kernel values are taken BLOCK points at a time, so the call holds
-    BLOCK x ell of them, not count x ell.
+    Taken BLOCK points at a time: as features(x) @ w when the fit has
+    primal weights and every point lies in the unit ball (so a block
+    holds BLOCK x P features), else as the kernel values against the
+    training inputs times c (BLOCK x ell of them, not count x ell).
     """
     pts = _batch(spec, xs)
     out = np.empty(len(pts))
+    primal = fit.weights is not None and _in_unit_ball(pts)
     for i in range(0, len(pts), BLOCK):
-        np.matmul(cross_gram(spec, pts[i:i + BLOCK], fit.xs), fit.coeffs,
-                  out=out[i:i + BLOCK])
+        block = pts[i:i + BLOCK]
+        if primal:
+            np.matmul(features(spec, block), fit.weights, out=out[i:i + BLOCK])
+        else:
+            np.matmul(cross_gram(spec, block, fit.xs), fit.coeffs,
+                      out=out[i:i + BLOCK])
     return out
 
 
@@ -483,15 +563,24 @@ def nystrom_eigs(spec: KernelSpec, ell: int, top_k: int, seed) -> np.ndarray:
 
     Scaling |S^{d-1}|^n / ell converts the Monte-Carlo Gram spectrum to the
     integral operator under the unnormalized product measure, i.e. the
-    kappa^n-corrected closed-form values. The Gram goes to `eigvalsh`
-    packed, so a Krylov run keeps its upper row blocks, about half the
-    Gram, resident; the dense route unpacks it.
+    kappa^n-corrected closed-form values. On the feature route
+    (`_feature_route` with rank top_k: a polynomial kernel whose
+    P >= top_k features number at most ell / 2) `eigvalsh` reads the top
+    eigenvalues of the P x P phi^T phi, which are those of G = phi phi^T.
+    Otherwise the Gram goes to `eigvalsh` packed, so a Krylov run keeps
+    its upper row blocks, about half the Gram, resident; the dense route
+    unpacks it.
     """
     if not 0 < top_k <= ell:
         raise ValueError("need 0 < top_k <= ell")
     xs = sample_uniform_batch(ell, spec.n, spec.d, seed)
     scale = sphere_surface(spec.d) ** spec.n / ell
-    return eigvalsh(_bounded_gram(spec, xs), top_k) * scale
+    _check_diagonal(spec)
+    if _feature_route(spec, xs, top_k):
+        a = feature_gram(features(spec, xs))
+    else:
+        a = gram(spec, xs)
+    return eigvalsh(a, top_k) * scale
 
 
 def closed_form_top_eigs(spec: KernelSpec, table: LambdaTable, entries: list,

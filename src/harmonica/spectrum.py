@@ -417,29 +417,3 @@ class SpectralExpansion:
                            np.einsum("mnd,mnd->nm", a, b))  # (k, n, count)
         F = Z.transpose(1, 2, 0) @ self._phi  # (n, count, Q)
         return _mercer_sum(self._weights, F) * self.table.kappa ** self.spec.n
-
-
-def eigenvalue_windows(table: LambdaTable, r: float, alphas=(1, 2, 3, 4),
-                       m_max: int = 50) -> dict:
-    """Normalized sequences behind the eigenvalue-window bounds.
-
-    upper[alpha][m] = lam[m][alpha] / ((m+1)^{alpha-1} r^m)   (bounded above)
-    lower[alpha][m] = lam[m][alpha] / ((r/4)^m)               (bounded below)
-    """
-    if table.k_max < m_max:
-        raise TruncationError(f"table k_max {table.k_max} < m_max {m_max}")
-    m = np.arange(m_max + 1, dtype=float)
-    out = {}
-    for alpha in alphas:
-        if alpha > table.a_max:
-            raise TruncationError(f"alpha {alpha} beyond table")
-        lam = table.lam[: m_max + 1, alpha]
-        upper = lam / ((m + 1.0) ** (alpha - 1) * r ** m)
-        lower = lam / ((r / 4.0) ** m)
-        out[alpha] = {
-            "upper_seq": upper,
-            "lower_seq": lower,
-            "upper_window_ratio": float(upper.max() / upper.min()),
-            "lower_window_ratio": float(lower.max() / lower.min()),
-        }
-    return out

@@ -12,7 +12,7 @@ import numpy as np
 import harmonica
 from harmonica import kernel, krr
 from harmonica.activations import activation
-from harmonica.errors import ConvergenceError
+from harmonica.errors import ConvergenceError, TruncationError
 from harmonica.harmonics import _jacobi_nodes, sphere_surface, zonal_poly_table
 from harmonica.kernel import KernelSpec, SymmetricGram, TruncationConfig, gram
 from harmonica.spectrum import _lgamma_halves
@@ -235,3 +235,30 @@ def gathered_lambda_table(f1, d: int, k_max: int, a_max: int,
                               or t_rel >= s_tol):
                 raise ConvergenceError(f"k={k}, alpha={alpha}")
     return lam, tail
+
+
+def eigenvalue_windows(table, r: float, alphas=(1, 2, 3, 4),
+                       m_max: int = 50) -> dict:
+    """Normalized sequences behind the eigenvalue-window bounds of a
+    `spectrum.LambdaTable`.
+
+    upper[alpha][m] = lam[m][alpha] / ((m+1)^{alpha-1} r^m)   (bounded above)
+    lower[alpha][m] = lam[m][alpha] / ((r/4)^m)               (bounded below)
+    """
+    if table.k_max < m_max:
+        raise TruncationError(f"table k_max {table.k_max} < m_max {m_max}")
+    m = np.arange(m_max + 1, dtype=float)
+    out = {}
+    for alpha in alphas:
+        if alpha > table.a_max:
+            raise TruncationError(f"alpha {alpha} beyond table")
+        lam = table.lam[: m_max + 1, alpha]
+        upper = lam / ((m + 1.0) ** (alpha - 1) * r ** m)
+        lower = lam / ((r / 4.0) ** m)
+        out[alpha] = {
+            "upper_seq": upper,
+            "lower_seq": lower,
+            "upper_window_ratio": float(upper.max() / upper.min()),
+            "lower_window_ratio": float(lower.max() / lower.min()),
+        }
+    return out

@@ -25,11 +25,12 @@ from harmonica.krr import (Dataset, Schedule, SourceTarget,
                            predict, rls_fit, schedule_lambda)
 from harmonica.spectrum import (SpectralExpansion, enumerate_spectrum,
                                 expand_spectrum, fit_decay, lambda_table,
-                                mu_eigenvalue, eigenvalue_windows)
+                                mu_eigenvalue)
 from harmonica.taylor import (cauchy_product, compose, exp_series,
                               geometric_series, power)
 
 from conftest import brute_force_power, brute_force_product, fd_derivative
+from helpers import eigenvalue_windows
 
 
 @contextmanager

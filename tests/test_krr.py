@@ -13,7 +13,8 @@ from harmonica import krr
 from harmonica.activations import activation
 from harmonica.errors import SolverError, StructuralError
 from harmonica.image import sample_uniform, sample_uniform_batch
-from harmonica.kernel import build_kernel, cross_gram, eval_kernel, gram
+from harmonica.kernel import (build_kernel, cross_gram, eval_kernel,
+                              feature_gram, features, gram)
 from harmonica.krr import (Dataset, Schedule, SourceTarget,
                            closed_form_top_eigs, learning_curve, mse,
                            nystrom_eigs, predict, rls_fit, schedule_lambda)
@@ -312,6 +313,146 @@ def test_rls_cholesky_failure_is_solver_error(monkeypatch):
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
+SQ2 = [activation("square")] * 2  # 210 features at n = 2, d = 4
+IS = [activation("identity"), activation("square")]  # 21 at n = 2, d = 3
+
+
+def _sq2_data(ell, seed, scale=1.0):
+    xs = scale * sample_uniform_batch(ell, 2, 4, seed)
+    return Dataset(xs=xs, ys=np.sin(np.arange(ell)))
+
+
+def _gram_route(monkeypatch):
+    """Send every later krr call down the Gram route."""
+    monkeypatch.setattr(krr, "feature_count", lambda spec: math.inf)
+
+
+def _counted(monkeypatch, name):
+    """Record the row count of the last argument of every call of
+    krr.<name>."""
+    real, calls = getattr(krr, name), []
+
+    def counted(*args):
+        calls.append(args[-1].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(krr, name, counted)
+    return calls
+
+
+def test_feature_route_fit_matches_gram_route(monkeypatch):
+    """At ell = 500 >= 2P the square -> square fit solves on its P = 210
+    features: c, the fitted values and the predictions agree with the
+    Gram route within 1e-12 relative (measured: about 1e-15), and the fit
+    builds no Gram and factors once."""
+    spec = build_kernel(SQ2, 2, 4)
+    ell = 500
+    lam = ell ** -0.5  # the beta = 2 schedule
+    data = _sq2_data(ell, 21)
+    test = sample_uniform_batch(300, 2, 4, 22)
+    grams = _counted(monkeypatch, "gram")
+    factored = _counted(monkeypatch, "cho_factor")
+    fit = rls_fit(spec, data, lam)
+    got = predict(spec, fit, test)
+    assert grams == [] and factored == [210]  # no retry on the trace
+    assert fit.weights.shape == (210,) and not fit.weights.flags.writeable
+    _gram_route(monkeypatch)
+    ref = rls_fit(spec, data, lam)
+    assert ref.weights is None and grams == [ell]
+    for a, b in ((fit.coeffs, ref.coeffs), (fit.fitted, ref.fitted),
+                 (got, predict(spec, ref, test))):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_nystrom_feature_route_matches_gram_route(monkeypatch):
+    """identity -> square at ell = 300, top 10: the eigenvalues of the
+    21 x 21 phi^T phi are those of the Gram within 1e-12 relative, and no
+    Gram is built."""
+    spec = build_kernel(IS, 2, 3)
+    grams = _counted(monkeypatch, "gram")
+    got = nystrom_eigs(spec, 300, 10, seed=3)
+    assert grams == []
+    G = np.asarray(gram(spec, sample_uniform_batch(300, 2, 3, 3)))
+    want = np.linalg.eigvalsh(G)[::-1][:10] * (4 * math.pi) ** 2 / 300
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("ell, scale, features", [
+    (420, 1.0, True),        # 2P = ell
+    (419, 1.0, False),       # 2P > ell
+    (500, 0.5, True),        # inside the unit ball: the clip does nothing
+    (500, 1.0 + 1e-6, False),  # past it: the clip would act
+])
+def test_rls_route_rule(monkeypatch, ell, scale, features):
+    spec = build_kernel(SQ2, 2, 4)
+    grams = _counted(monkeypatch, "gram")
+    fit = rls_fit(spec, _sq2_data(ell, 23, scale), 0.1)
+    assert (fit.weights is not None) == features
+    assert grams == ([] if features else [ell])
+
+
+@pytest.mark.parametrize("ell, top_k, features", [
+    (42, 3, True), (41, 3, False),  # 2P = 42
+    (100, 21, True), (100, 22, False),  # P = 21
+])
+def test_nystrom_route_rule(monkeypatch, ell, top_k, features):
+    grams = _counted(monkeypatch, "gram")
+    nystrom_eigs(build_kernel(IS, 2, 3), ell, top_k, seed=5)
+    assert grams == ([] if features else [ell])
+
+
+def test_predict_outside_the_unit_ball_takes_the_kernel_values():
+    """A feature-route fit predicts points outside the unit ball, where
+    the kernel clips, from cross_gram and c, not from their features."""
+    spec = build_kernel(SQ2, 2, 4)
+    data = _sq2_data(500, 24)
+    fit = rls_fit(spec, data, 0.1)
+    assert fit.weights is not None
+    test = 1.5 * sample_uniform_batch(200, 2, 4, 25)
+    want = cross_gram(spec, test, data.xs) @ fit.coeffs
+    got = predict(spec, fit, test)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got - features(spec, test) @ fit.weights).max() \
+        > 1e-3 * np.abs(want).max()
+
+
+def test_feature_route_jitter_retry(monkeypatch):
+    """A failed factorization of phi^T phi + lambda l I is retried on a
+    rebuilt phi^T phi with the Gram route's jitter, 1e-12 trace(G) / ell
+    (trace(phi^T phi) = trace(G)); the fitted values stay G c."""
+    spec = build_kernel(SQ2, 2, 4)
+    ell, lam = 500, 1e-3
+    data = _sq2_data(ell, 26)
+    plain = rls_fit(spec, data, lam)
+    calls = _failing_cho_factor(monkeypatch, failures=1)
+    fit = rls_fit(spec, data, lam)
+    assert len(calls) == 2 and calls[0].shape == (210, 210)
+    G = np.asarray(gram(spec, data.xs))
+    d0 = np.diag(np.asarray(feature_gram(features(spec, data.xs))))
+    jitter = 1e-12 * d0.sum() / ell
+    assert jitter == pytest.approx(1e-12 * np.trace(G) / ell, rel=1e-12)
+    assert np.diag(calls[1]).tobytes() == ((d0 + lam * ell) + jitter).tobytes()
+    assert np.array_equal(np.triu(calls[1], 1), np.triu(calls[0], 1))
+    np.testing.assert_allclose(fit.coeffs, plain.coeffs, rtol=1e-8)
+    want = G @ fit.coeffs
+    assert np.linalg.norm(fit.fitted - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_feature_route_failure_is_solver_error(monkeypatch):
+    """Two failed factorizations on the feature route raise SolverError
+    with the condition number of phi^T phi + lambda l I."""
+    spec = build_kernel(SQ2, 2, 4)
+    ell, lam = 500, 1e-3
+    data = _sq2_data(ell, 26)
+    calls = _failing_cho_factor(monkeypatch, failures=math.inf)
+    with pytest.raises(SolverError) as info:
+        rls_fit(spec, data, lam)
+    assert len(calls) == 2
+    A = np.asarray(feature_gram(features(spec, data.xs)))
+    want = np.linalg.cond(A + lam * ell * np.eye(210))
+    assert info.value.condition == pytest.approx(want, rel=1e-12)
+
+
 def test_predict_blocks_match_whole_cross_gram():
     """predict takes the kernel values BLOCK test points at a time: the
     same values as one whole cross_gram product (bitwise here; within
@@ -388,20 +529,26 @@ def test_nystrom_top_k_matches_full_eigvalsh():
                     reason="reads VmHWM from /proc/self/status")
 def test_nystrom_keeps_half_a_gram_resident():
     """On the Krylov route (the benchmark's ell = 2000 rank-20 Gram) the
-    Gram stays packed: the rise of the peak resident memory of
-    nystrom_eigs stays under half the 30.5 MiB dense Gram plus 4 MiB for
-    the diagonal squares (1 MiB), the basis and the rest. It rose by about
-    18.2 MiB; with the blocks at the tail of an ell x ell buffer by about
-    20.3 MiB, and with the dense Gram by about 33 MiB."""
+    Gram stays packed: the rise of the peak resident memory of eigvalsh
+    on a fresh `gram` stays under half the 30.5 MiB dense Gram plus 4 MiB
+    for the diagonal squares (1 MiB), the basis and the rest. It rose by
+    about 18.2 MiB; with the blocks at the tail of an ell x ell buffer by
+    about 20.3 MiB, and with the dense Gram by about 33 MiB. (nystrom_eigs
+    on this polynomial kernel takes the feature route and builds no
+    Gram.)"""
     ell = 2000
     rise = peak_rise([
         "from harmonica.activations import activation",
+        "from harmonica.image import sample_uniform_batch",
         "from harmonica.kernel import build_kernel",
-        "from harmonica.krr import nystrom_eigs",
+        "from harmonica.krr import eigvalsh, gram",
         "spec = build_kernel([activation('identity'), activation('square')],"
         " 2, 3)",
-        "nystrom_eigs(spec, 40, 10, seed=1)",  # loads what a run uses
-    ], f"nystrom_eigs(spec, {ell}, 10, seed=0)")
+        "def run(ell, seed):",
+        "    xs = sample_uniform_batch(ell, 2, 3, seed)",
+        "    return eigvalsh(gram(spec, xs), 10)",
+        "run(40, 1)",  # loads what a run uses
+    ], f"run({ell}, 0)")
     assert rise <= 0.5 * ell * ell * 8 + 4 * 2 ** 20, rise / 2 ** 20
 
 

@@ -17,13 +17,12 @@ from harmonica import spectrum, taylor
 from harmonica.spectrum import (KAPPA, SpectralExpansion, SpectrumEntry,
                                 canonical_profile, enumerate_spectrum,
                                 expand_spectrum, fit_decay, lambda_table,
-                                mu_eigenvalue, profile_multiplicity,
-                                eigenvalue_windows)
+                                mu_eigenvalue, profile_multiplicity)
 from harmonica.taylor import (compose, exp_series, geometric_series,
                               power, series_from)
 
 from conftest import brute_force_mercer
-from helpers import fsum_product, gathered_lambda_table
+from helpers import eigenvalue_windows, fsum_product, gathered_lambda_table
 
 EXP = exp_series(64)
 

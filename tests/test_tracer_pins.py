@@ -67,7 +67,8 @@ def test_enumerate_spectrum_calls_mu_eigenvalue_per_profile(monkeypatch):
 def test_nystrom_and_rls_fit_get_their_gram_through_krr_gram(monkeypatch):
     # the tracer wraps krr.gram: a Gram built any other way would leave
     # kernel.gram_s and kernel.entries reading 0 on nystrom and
-    # learning-curve
+    # learning-curve. 40 samples keep both calls on the Gram route: this
+    # kernel has 21 features, and 2 x 21 > 40
     calls = []
     real = krr.gram
 
@@ -77,10 +78,10 @@ def test_nystrom_and_rls_fit_get_their_gram_through_krr_gram(monkeypatch):
 
     monkeypatch.setattr(krr, "gram", counted)
     spec = build_kernel([activation("identity"), activation("square")], 2, 3)
-    krr.nystrom_eigs(spec, 50, 3, seed=0)
+    krr.nystrom_eigs(spec, 40, 3, seed=0)
     data = krr.Dataset(xs=sample_uniform_batch(40, 2, 3, 1), ys=np.ones(40))
     krr.rls_fit(spec, data, 1e-2)
-    assert calls == [50, 40]
+    assert calls == [40, 40]
 
 
 def test_reconstruct_evaluates_every_pair_in_one_eval_kernel_call(
