@@ -13,7 +13,7 @@ from .image import (Image, PatchConfig, extract_patches, sample_uniform,
                     unit_patches)
 from .kernel import KernelSpec, TruncationConfig, build_kernel, eval_kernel, gram
 from .krr import Dataset, FitResult, Schedule, rls_fit, schedule_lambda
-from .spectrum import (LambdaTable, SpectrumEntry, enumerate_spectrum,
+from .spectrum import (LambdaTable, Spectrum, enumerate_spectrum,
                        fit_decay, lambda_table, mu_eigenvalue)
 from .taylor import CoeffSeries, cauchy_product, compose, eval_series, power
 
@@ -22,7 +22,7 @@ __all__ = [
     "Image", "PatchConfig", "extract_patches", "sample_uniform", "unit_patches",
     "KernelSpec", "TruncationConfig", "build_kernel", "eval_kernel", "gram",
     "Dataset", "FitResult", "Schedule", "rls_fit", "schedule_lambda",
-    "LambdaTable", "SpectrumEntry", "enumerate_spectrum", "fit_decay",
+    "LambdaTable", "Spectrum", "enumerate_spectrum", "fit_decay",
     "lambda_table", "mu_eigenvalue",
     "CoeffSeries", "cauchy_product", "compose", "eval_series", "power",
     "__version__",

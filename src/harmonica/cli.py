@@ -34,11 +34,10 @@ from .errors import (ConfigError, FitError, HarmonicaError, OutputError,
 from .image import (PatchConfig, extract_patches, grid_locations, load_image,
                     sample_uniform_batch)
 from .kernel import KernelSpec, TruncationConfig, build_kernel, eval_kernel
-from .krr import (Schedule, SourceTarget, closed_form_top_eigs,
-                  learning_curve, nystrom_eigs)
+from .krr import Schedule, SourceTarget, learning_curve, nystrom_eigs
 from .schema import SCHEMAS, validate
-from .spectrum import (SpectralExpansion, enumerate_spectrum, fit_decay,
-                       lambda_table)
+from .spectrum import (KAPPA, SpectralExpansion, enumerate_spectrum,
+                       fit_decay, lambda_table, operator_values)
 
 # the interpreter's built-in SHA-256, the same digest as hashlib's: hashlib
 # loads OpenSSL (about 3.5 MiB resident) to hash a few hundred bytes
@@ -178,23 +177,19 @@ def cmd_spectrum(cfg: dict, out: str, seed: int, args) -> int:
     spec = kernel_from_config(cfg["kernel"])
     k_max = cfg.get("k_max", spec.trunc.k_max)
     table = _table_for(spec, k_max)
-    entries = enumerate_spectrum(spec, table, k_max)
-    rows = [(rank + 1, e.mu, e.multiplicity,
-             ";".join(str(k) for k in e.profile))
-            for rank, e in enumerate(entries)]
-    write_csv(out, "spectrum", cfg, seed,
-              ["rank", "mu", "multiplicity", "profile"], rows)
+    spectrum = enumerate_spectrum(spec, table, k_max)
+    # the summary is whole before either file is written
     summary = {
-        "kappa": table.kappa,
-        "entries": int(sum(e.multiplicity for e in entries)),
-        "distinct_profiles": len(entries),
-        "max_interaction_order": max(
-            (sum(1 for k in e.profile if k) for e in entries), default=0),
+        "kappa": KAPPA,
+        "entries": spectrum.mass,
+        "distinct_profiles": len(spectrum),
+        "max_interaction_order": int(np.count_nonzero(
+            spectrum.profiles, axis=1).max(initial=0)),
         "d_star": spec.d_star,
     }
     try:
         lo, hi = cfg.get("fit_rank_range", (1, 10 ** 9))
-        fit = fit_decay(entries, m_min=lo, m_max=hi)
+        fit = fit_decay(spectrum, m_min=lo, m_max=hi)
         summary.update({"p": fit["exponent_p"], "gamma": fit["gamma"],
                         "goodness": fit["goodness"],
                         "counting_slope": _finite_or_none(fit["counting_slope"])})
@@ -202,6 +197,11 @@ def cmd_spectrum(cfg: dict, out: str, seed: int, args) -> int:
         log.info("decay fit skipped: %s", exc)
         summary.update({"p": None, "gamma": None, "goodness": None,
                         "counting_slope": None})
+    profiles = [";".join(map(str, p)) for p in spectrum.profiles.tolist()]
+    rows = list(zip(range(1, len(spectrum) + 1), spectrum.mu.tolist(),
+                    spectrum.multiplicity.tolist(), profiles))
+    write_csv(out, "spectrum", cfg, seed,
+              ["rank", "mu", "multiplicity", "profile"], rows)
     write_json(_json_path(out), "spectrum", cfg, seed, summary)
     return EXIT_OK
 
@@ -307,8 +307,8 @@ def cmd_gram_eig(cfg: dict, out: str, seed: int, args) -> int:
     if top_k > ell:
         raise ConfigError(f"top_k={top_k} exceeds the sample count ell={ell}")
     table = _table_for(spec, k_max)
-    entries = enumerate_spectrum(spec, table, k_max)
-    closed = closed_form_top_eigs(spec, table, entries, top_k)
+    closed = operator_values(
+        enumerate_spectrum(spec, table, k_max).eigenvalues(0, top_k), spec.n)
     if closed.size < top_k:
         raise ConfigError(f"spectrum has only {closed.size} positive "
                           f"eigenvalues below k_max={k_max}; top_k too large")

@@ -9,10 +9,6 @@ class TruncationError(HarmonicaError):
     """A series, table or expansion is too short for the computation."""
 
 
-class TruncationCapError(TruncationError):
-    """Requested series order exceeds the hard cap."""
-
-
 class ConvergenceError(HarmonicaError):
     """A truncated series sum did not converge within tolerance."""
 

@@ -386,8 +386,8 @@ def _powers(s: CoeffSeries) -> list:
 
 
 def _multisets(dim: int, k: int) -> int:
-    """Multisets of k out of dim indices: C(dim + k - 1, k)."""
-    return math.comb(dim + k - 1, k)
+    """Multisets of k out of dim indices: C(dim + k - 1, k), 1 at k = 0."""
+    return math.comb(max(dim + k - 1, 0), k)
 
 
 def feature_count(spec: KernelSpec) -> float:

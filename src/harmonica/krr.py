@@ -98,8 +98,7 @@ from .harmonics import sphere_surface, zonal_features, zonal_poly_table
 from .image import default_rng, sample_uniform_batch
 from .kernel import (KernelSpec, SymmetricGram, _batch, cross_gram,
                      feature_count, feature_gram, features, gram)
-from .spectrum import (LambdaTable, canonical_profile, expand_spectrum,
-                       mu_eigenvalue)
+from .spectrum import LambdaTable, mu_eigenvalue, operator_values
 
 log = logging.getLogger(__name__)
 
@@ -583,12 +582,6 @@ def nystrom_eigs(spec: KernelSpec, ell: int, top_k: int, seed) -> np.ndarray:
     return eigvalsh(a, top_k) * scale
 
 
-def closed_form_top_eigs(spec: KernelSpec, table: LambdaTable, entries: list,
-                         top_k: int) -> np.ndarray:
-    """kappa^n-scaled leading eigenvalues from an enumerated spectrum."""
-    return expand_spectrum(entries, limit=top_k) * table.kappa ** spec.n
-
-
 class SourceTarget:
     """Target built from eigenfunction aggregates against an anchor point.
 
@@ -601,20 +594,20 @@ class SourceTarget:
     def __init__(self, spec: KernelSpec, table: LambdaTable, anchor,
                  profiles, beta: float = 1.0):
         self.spec = spec
-        self.table = table
         self.anchor = np.asarray(anchor, dtype=float)
-        self.beta = beta
-        self.parts = []
-        k_hi = 0
-        for prof, coeff in profiles:
-            prof = canonical_profile(prof, spec.n)
-            mu = mu_eigenvalue(spec, prof, table) * table.kappa ** spec.n
-            if mu <= 0.0:
-                raise ValueError(f"profile {prof} has zero eigenvalue; "
-                                 "target would leave the RKHS")
-            self.parts.append((prof, float(coeff) * mu ** (beta / 2.0)))
-            k_hi = max(k_hi, prof[0])
-        self.k_hi = k_hi
+        if any(len(prof) > spec.n for prof, _ in profiles):
+            raise ValueError(f"profile longer than patch count {spec.n}")
+        padded = [list(p) + [0] * (spec.n - len(p)) for p, _ in profiles]
+        # canonical rows: degrees non-increasing
+        self.profiles = -np.sort(-np.array(padded, int).reshape(-1, spec.n))
+        mu = operator_values(mu_eigenvalue(spec, self.profiles, table), spec.n)
+        if not np.all(mu > 0.0):
+            bad = tuple(self.profiles[np.argmin(mu > 0.0)].tolist())
+            raise ValueError(f"profile {bad} has zero eigenvalue; "
+                             "target would leave the RKHS")
+        self.weights = (np.array([float(c) for _, c in profiles])
+                        * mu ** (beta / 2.0))
+        self.k_hi = int(self.profiles.max(initial=0))
 
     def __call__(self, xs) -> np.ndarray:
         """Target values on a (count, n, d) batch; shape (count,).
@@ -622,13 +615,9 @@ class SourceTarget:
         pts = _batch(self.spec, xs)
         Z = zonal_features(self.k_hi, self.spec.d,
                            np.einsum("mnd,nd->mn", pts, self.anchor))
-        out = np.zeros(len(pts))
-        for prof, weight in self.parts:
-            term = np.ones(len(pts))
-            for i, k in enumerate(prof):
-                term = term * Z[k, :, i]
-            out += weight * term
-        return out
+        # Z[profiles[p, i], :, i], multiplied over the patches i: (P, count)
+        terms = Z[self.profiles, :, np.arange(self.spec.n)].prod(axis=1)
+        return self.weights @ terms
 
 
 def learning_curve(spec: KernelSpec, target, s: Schedule, sizes, test_size,

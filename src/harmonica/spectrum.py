@@ -20,8 +20,8 @@ integral of a monomial t^m, m = k + 2s, into
 
 which is the closed-form term with 2^k in place of 2^{k+1}, for every d,
 k and alpha. Tables keep the closed-form normalization (the published
-``mu``); KAPPA is applied only where values meet the actual integral
-operator (reconstruction, Nystrom). The Funk-Hecke quadrature in
+``mu``); ``operator_values`` applies KAPPA^n where values meet the actual
+integral operator (reconstruction, Nystrom, targets). The quadrature in
 ``harmonics`` is a test oracle for this constant, never run here.
 
 Multi-patch eigenvalues aggregate per-profile:
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,6 +78,11 @@ from .taylor import CoeffSeries, power, power_table
 KAPPA = 2.0
 
 
+def operator_values(values, n: int):
+    """Closed-form values on n patches in the operator's normalization."""
+    return values * KAPPA ** n
+
+
 @dataclass(frozen=True)
 class LambdaTable:
     """lambda[k][alpha] grid plus per-entry s-series tail estimates."""
@@ -90,11 +94,6 @@ class LambdaTable:
     def __post_init__(self):
         for a in (self.lam, self.tail):
             a.flags.writeable = False
-
-    @property
-    def kappa(self) -> float:
-        """Funk-Hecke / closed-form ratio: the exact constant KAPPA."""
-        return KAPPA
 
     @property
     def k_max(self) -> int:
@@ -186,38 +185,55 @@ def lambda_table(f1: CoeffSeries, d: int, k_max: int, a_max: int,
     return LambdaTable(d=d, lam=lam, tail=tail)
 
 
+def profile_multiplicity(profiles, d: int):
+    """Exact multiplicities (Python ints: they pass 2^63) of the sorted rows
+    of a (..., n) array: arrangements n! / prod c! over the runs of equal
+    degrees (run: the 1-based place in its run) times harmonic dimensions."""
+    prof = np.asarray(profiles)
+    run = np.ones(prof.shape, dtype=object)
+    for i in range(1, prof.shape[-1]):
+        run[..., i] = np.where(prof[..., i] == prof[..., i - 1],
+                               run[..., i - 1] + 1, 1)
+    dims = np.array([harmonic_dim(k, d)
+                     for k in range(prof.max(initial=0) + 1)], dtype=object)
+    return (math.factorial(prof.shape[-1]) // run.prod(axis=-1)
+            * dims[prof].prod(axis=-1))
+
+
 @dataclass(frozen=True)
-class SpectrumEntry:
-    """One canonical degree profile with its eigenvalue and multiplicity.
+class Spectrum:
+    """Positive eigenvalues by canonical profile: (P, n) non-increasing
+    ``profiles``, their closed-form ``mu`` and exact ``multiplicity``
+    (Python ints), in rows sorted by (-mu, total degree, profile)."""
 
-    profile is the non-increasing degree tuple of length n; multiplicity
-    counts position arrangements times the product of harmonic dimensions.
-    """
+    profiles: np.ndarray
+    mu: np.ndarray
+    multiplicity: np.ndarray
 
-    profile: tuple
-    mu: float
-    multiplicity: int
+    def __post_init__(self):
+        for key, dtype in (("profiles", int), ("mu", float),
+                           ("multiplicity", object)):
+            object.__setattr__(self, key, np.array(getattr(self, key), dtype))
+            getattr(self, key).flags.writeable = False
 
+    def __len__(self) -> int:
+        return len(self.mu)
 
-def canonical_profile(profile, n: int) -> tuple:
-    ks = tuple(int(k) for k in profile)
-    if len(ks) > n:
-        raise ValueError(f"profile longer than patch count {n}")
-    if any(k < 0 for k in ks):
-        raise ValueError("degrees must be >= 0")
-    ks = ks + (0,) * (n - len(ks))
-    return tuple(sorted(ks, reverse=True))
+    @property
+    def ends(self) -> np.ndarray:
+        """Exact cumulative multiplicities: row p ends before rank ends[p]."""
+        return np.cumsum(self.multiplicity)
 
+    @property
+    def mass(self) -> int:
+        return int(self.multiplicity.sum())
 
-def profile_multiplicity(profile: tuple, d: int) -> int:
-    counts = Counter(profile)
-    arrangements = math.factorial(len(profile))
-    for c in counts.values():
-        arrangements //= math.factorial(c)
-    dims = 1
-    for k in profile:
-        dims *= harmonic_dim(k, d)
-    return arrangements * dims
+    def eigenvalues(self, start: int = 0, stop=None) -> np.ndarray:
+        """Eigenvalues at the ranks [start, stop), multiplicities unrolled."""
+        ends, stop = self.ends, self.mass if stop is None else stop
+        counts = np.minimum(ends, stop) - np.maximum(ends - self.multiplicity,
+                                                     start)
+        return np.repeat(self.mu, np.maximum(counts, 0).astype(np.int64))
 
 
 @lru_cache(maxsize=None)
@@ -255,23 +271,28 @@ def _mercer_sum(weights: np.ndarray, factors) -> np.ndarray:
     return poly @ weights
 
 
-def mu_eigenvalue(spec: KernelSpec, profile, table: LambdaTable) -> float:
-    """Eigenvalue for one degree profile, in closed-form normalization."""
-    prof = canonical_profile(profile, spec.n)
-    if prof[0] > table.k_max:
-        raise TruncationError(
-            f"profile degree {prof[0]} beyond table k_max={table.k_max}")
-    nonzero = [k for k in prof if k > 0]
-    if spec.D != math.inf and len(nonzero) > spec.d_star:
-        return 0.0
+def mu_eigenvalue(spec: KernelSpec, profiles, table: LambdaTable):
+    """Eigenvalues of the degree profiles in the rows of a (..., n) array,
+    in closed-form normalization; shape (...). Each row is sorted
+    non-increasing first, so every order of a profile gives the same bits,
+    and one truncated product serves every row."""
+    prof = np.asarray(profiles, dtype=int)
+    if prof.shape[-1:] != (spec.n,):
+        raise ValueError(f"profiles need {spec.n} degrees each, got an "
+                         f"array of shape {prof.shape}")
+    prof = np.sort(prof, axis=-1)[..., ::-1]
+    if prof.min(initial=0) < 0:
+        raise ValueError("degrees must be >= 0")
+    if prof.max(initial=0) > table.k_max:
+        raise TruncationError(f"profile degree {prof.max()} beyond table "
+                              f"k_max={table.k_max}")
     weights = _outer_weights(spec, table)
-    q = weights.size
-    fact = _factorials(q)
-    return float(_mercer_sum(weights, [table.lam[k, :q] / fact for k in prof]))
+    phi = table.lam[:, :weights.size] / _factorials(weights.size)
+    return _mercer_sum(weights, [phi[prof[..., i]] for i in range(spec.n)])
 
 
 def enumerate_spectrum(spec: KernelSpec, table: LambdaTable,
-                       k_max: int | None = None) -> list:
+                       k_max: int | None = None) -> Spectrum:
     """All positive eigenvalues with degrees <= k_max, sorted non-increasing.
 
     Only profiles with at most min(d*, n) nonzero degrees can be positive,
@@ -279,28 +300,19 @@ def enumerate_spectrum(spec: KernelSpec, table: LambdaTable,
     Ties order by total degree then lexicographic profile.
     """
     k_cap = table.k_max if k_max is None else min(k_max, table.k_max)
-    w_max = min(spec.d_star, spec.n)
-    entries = []
-    for w in range(w_max + 1):
-        for combo in itertools.combinations_with_replacement(
-                range(1, k_cap + 1), w):
-            prof = canonical_profile(combo, spec.n)
-            mu = mu_eigenvalue(spec, prof, table)
-            if mu <= 0.0:
-                continue
-            entries.append(SpectrumEntry(
-                profile=prof, mu=mu,
-                multiplicity=profile_multiplicity(prof, spec.d)))
-    entries.sort(key=lambda e: (-e.mu, sum(e.profile), e.profile))
-    return entries
-
-
-def expand_spectrum(entries: list, limit: int | None = None) -> np.ndarray:
-    """Non-increasing eigenvalue sequence with multiplicities unrolled."""
-    mus = np.repeat([e.mu for e in entries],
-                    [e.multiplicity for e in entries])
-    mus = np.sort(mus)[::-1]
-    return mus[:limit] if limit is not None else mus
+    blocks = []
+    for w in range(min(spec.d_star, spec.n) + 1):
+        nonzero = list(itertools.combinations_with_replacement(
+            range(k_cap, 0, -1), w))  # non-increasing
+        rows = np.array(nonzero, dtype=int).reshape(len(nonzero), w)
+        blocks.append(np.pad(rows, [(0, 0), (0, spec.n - w)]))
+    profiles = np.concatenate(blocks)
+    mu = mu_eigenvalue(spec, profiles, table)
+    keep = mu > 0.0
+    profiles, mu = profiles[keep], mu[keep]
+    order = np.lexsort((*profiles.T[::-1], profiles.sum(axis=1), -mu))
+    return Spectrum(profiles[order], mu[order],
+                    profile_multiplicity(profiles[order], spec.d))
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -323,24 +335,26 @@ def _distinct_sorted(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def counting_slope(entries: list, rank_lo: int = 20, rank_hi: int = 2000,
-                   grid: int = 40) -> float:
+def counting_slope(spectrum: Spectrum, rank_lo: int = 20,
+                   rank_hi: int = 2000, grid: int = 40) -> float:
     """Slope of log N(lam) against log log(1/lam) over a rank window.
 
     The spectrum is normalized by its largest eigenvalue so the double log
     is defined; the asymptotic slope (d-1) d* is unaffected. The slope is
     the closed-form least-squares line of ``_line_fit``.
     """
-    mus = expand_spectrum(entries)
-    rank_hi = min(rank_hi, mus.size - 1)
+    ends = spectrum.ends
+    rank_hi = min(rank_hi, spectrum.mass - 1)
     if rank_hi <= rank_lo:
         raise FitError("not enough eigenvalues for the counting regression")
-    mus = mus / mus[0]
+    mu = spectrum.mu / spectrum.mu[0]  # non-increasing
     ranks = _distinct_sorted(np.geomspace(rank_lo, rank_hi, grid).astype(int))
-    lam_grid = _distinct_sorted(mus[ranks][::-1])  # mus is non-increasing
+    rows = np.searchsorted(ends, ranks, "right")  # first row ending past m
+    lam_grid = _distinct_sorted(mu[rows][::-1])
     # a ratio that underflows to 0 has no double log
     lam_grid = lam_grid[(lam_grid > 0.0) & (lam_grid < 1.0)]
-    counts = np.array([np.count_nonzero(mus >= lam) for lam in lam_grid])
+    # N(lam) ends with the last row of mu >= lam
+    counts = ends[np.searchsorted(-mu, -lam_grid, "right") - 1]
     x = np.log(-np.log(lam_grid))  # 1 / lam overflows for subnormal lam
     y = np.log(counts.astype(float))
     if x.size < 3 or np.ptp(x) == 0.0:
@@ -348,7 +362,7 @@ def counting_slope(entries: list, rank_lo: int = 20, rank_hi: int = 2000,
     return float(_line_fit(x, y)[0])
 
 
-def fit_decay(entries: list, p_grid=None, m_min: int = 1,
+def fit_decay(spectrum: Spectrum, p_grid=None, m_min: int = 1,
               m_max: int | None = None) -> dict:
     """Fit log mu_m = log C - gamma m^{1/p} over a grid of stretch exponents.
 
@@ -359,15 +373,15 @@ def fit_decay(entries: list, p_grid=None, m_min: int = 1,
     eigenvalues; an all-equal spectrum or a rank window of fewer than two
     is a fit error.
     """
-    mus = expand_spectrum(entries)
-    if mus.size < 100:
-        raise FitError(f"need >= 100 positive eigenvalues, have {mus.size}")
-    m_max = mus.size if m_max is None else min(m_max, mus.size)
+    mass = spectrum.mass
+    if mass < 100:
+        raise FitError(f"need >= 100 positive eigenvalues, have {mass}")
+    m_max = mass if m_max is None else min(m_max, mass)
     m = np.arange(m_min, m_max, dtype=float)
     if m.size < 2:
         raise FitError(f"rank window [{m_min}, {m_max}) holds fewer than two "
                        "eigenvalues")
-    y = np.log(mus[m_min:m_max])
+    y = np.log(spectrum.eigenvalues(m_min, m_max))
     if np.ptp(y) == 0.0:
         raise FitError("flat spectrum")
     if p_grid is None:
@@ -384,7 +398,7 @@ def fit_decay(entries: list, p_grid=None, m_min: int = 1,
     result = {"exponent_p": p, "gamma": gamma,
               "goodness": 1.0 - sse / sst if sst > 0 else 1.0}
     try:
-        result["counting_slope"] = counting_slope(entries)
+        result["counting_slope"] = counting_slope(spectrum)
     except FitError:
         result["counting_slope"] = float("nan")
     return result
@@ -402,7 +416,6 @@ class SpectralExpansion:
         if table.d != spec.d:
             raise ValueError("table dimension does not match kernel")
         self.spec = spec
-        self.table = table
         self.k_max = min(k_max, table.k_max)
         self._weights = _outer_weights(spec, table)
         q = self._weights.size
@@ -416,4 +429,4 @@ class SpectralExpansion:
         Z = zonal_features(self.k_max, self.spec.d,
                            np.einsum("mnd,mnd->nm", a, b))  # (k, n, count)
         F = Z.transpose(1, 2, 0) @ self._phi  # (n, count, Q)
-        return _mercer_sum(self._weights, F) * self.table.kappa ** self.spec.n
+        return operator_values(_mercer_sum(self._weights, F), self.spec.n)

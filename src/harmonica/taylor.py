@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, TruncationCapError
+from .errors import ConvergenceError, TruncationError
 
 # Hard cap on truncation degree; large spectra (d=2 decay runs) need a few
 # thousand coefficients.
@@ -39,7 +39,7 @@ DEFAULT_COMPOSE_TOL = 1e-9
 
 def check_order(order: int, name: str = "order") -> None:
     if order < 0 or order > MAX_ORDER:
-        raise TruncationCapError(f"{name} {order} outside [0, {MAX_ORDER}]")
+        raise TruncationError(f"{name} {order} outside [0, {MAX_ORDER}]")
 
 
 def _top_index(coeffs) -> int:

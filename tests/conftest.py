@@ -15,7 +15,7 @@ import pytest
 from hypothesis import settings
 
 from harmonica.harmonics import harmonic_dim, sphere_surface
-from harmonica.spectrum import mu_eigenvalue
+from harmonica.spectrum import KAPPA, mu_eigenvalue
 
 # HYPOTHESIS_PROFILE=ci (set by the CI workflow) runs the same examples on
 # every push
@@ -74,14 +74,14 @@ def brute_force_mercer(spec, table, k_max, x, y):
         for support in itertools.combinations(range(n), w):
             base = math.prod(z[0][j] for j in range(n) if j not in support)
             for ks in itertools.product(range(1, k_max + 1), repeat=w):
-                mu = mu_eigenvalue(spec, ks, table)
+                mu = mu_eigenvalue(spec, ks + (0,) * (n - w), table)
                 if mu == 0.0:
                     continue
                 term = mu * base
                 for pos, k in zip(support, ks):
                     term *= z[k][pos]
                 total += term
-    return total * table.kappa ** n
+    return total * KAPPA ** n
 
 
 def fd_stencil(m, npts, h):

@@ -1,10 +1,12 @@
 """Test-only oracles and fixtures, built from library functions, that no
 harmonica command needs."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,11 @@ import harmonica
 from harmonica import kernel, krr
 from harmonica.activations import activation
 from harmonica.errors import ConvergenceError, TruncationError
-from harmonica.harmonics import _jacobi_nodes, sphere_surface, zonal_poly_table
+from harmonica.harmonics import (_jacobi_nodes, harmonic_dim, sphere_surface,
+                                 zonal_poly_table)
 from harmonica.kernel import KernelSpec, SymmetricGram, TruncationConfig, gram
-from harmonica.spectrum import _lgamma_halves
+from harmonica.spectrum import (_distinct_sorted, _lgamma_halves, _line_fit,
+                                mu_eigenvalue)
 from harmonica.taylor import (CoeffSeries, _computed_series, check_order,
                               power_table, series_from)
 
@@ -262,3 +266,54 @@ def eigenvalue_windows(table, r: float, alphas=(1, 2, 3, 4),
             "lower_window_ratio": float(lower.max() / lower.min()),
         }
     return out
+
+
+def canonical_profile(profile, n: int) -> tuple:
+    """A degree profile of at most n degrees, zero-padded to n and sorted
+    non-increasing: the row order `spectrum.mu_eigenvalue` uses."""
+    ks = tuple(int(k) for k in profile)
+    if len(ks) > n:
+        raise ValueError(f"profile longer than patch count {n}")
+    if any(k < 0 for k in ks):
+        raise ValueError("degrees must be >= 0")
+    return tuple(sorted(ks + (0,) * (n - len(ks)), reverse=True))
+
+
+def per_profile_spectrum(spec, table, k_max=None) -> list:
+    """(profile, mu, multiplicity) rows as `spectrum.enumerate_spectrum`
+    built them before the spectrum became one array value: a one-row
+    `mu_eigenvalue` call per canonical profile (the same truncated product,
+    ending in a one-row dot product), each multiplicity from a Counter of
+    equal degrees, and one sort by (-mu, total degree, profile)."""
+    k_cap = table.k_max if k_max is None else min(k_max, table.k_max)
+    rows = []
+    for w in range(min(spec.d_star, spec.n) + 1):
+        for combo in itertools.combinations_with_replacement(
+                range(1, k_cap + 1), w):
+            prof = canonical_profile(combo, spec.n)
+            mu = float(mu_eigenvalue(spec, prof, table))
+            if mu <= 0.0:
+                continue
+            arrangements = math.factorial(spec.n)
+            for c in Counter(prof).values():
+                arrangements //= math.factorial(c)
+            dims = math.prod(harmonic_dim(k, spec.d) for k in prof)
+            rows.append((prof, mu, arrangements * dims))
+    rows.sort(key=lambda r: (-r[1], sum(r[0]), r[0]))
+    return rows
+
+
+def unrolled_counting_slope(mus, rank_lo: int = 20, rank_hi: int = 2000,
+                            grid: int = 40) -> float:
+    """`spectrum.counting_slope` by its earlier reads on the non-increasing
+    eigenvalue sequence with every multiplicity unrolled: eigenvalues
+    indexed by rank, N(lam) counted over the whole sequence, and the same
+    closed-form line."""
+    rank_hi = min(rank_hi, mus.size - 1)
+    mus = mus / mus[0]
+    ranks = _distinct_sorted(np.geomspace(rank_lo, rank_hi, grid).astype(int))
+    lam_grid = _distinct_sorted(mus[ranks][::-1])
+    lam_grid = lam_grid[(lam_grid > 0.0) & (lam_grid < 1.0)]
+    counts = np.array([np.count_nonzero(mus >= lam) for lam in lam_grid])
+    return float(_line_fit(np.log(-np.log(lam_grid)),
+                           np.log(counts.astype(float)))[0])

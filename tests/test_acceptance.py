@@ -20,17 +20,16 @@ from harmonica.cnn import forward, random_params
 from harmonica.harmonics import funk_hecke_eigenvalue
 from harmonica.image import sample_uniform_batch
 from harmonica.kernel import TruncationConfig, build_kernel, eval_kernel
-from harmonica.krr import (Dataset, Schedule, SourceTarget,
-                           closed_form_top_eigs, learning_curve, nystrom_eigs,
-                           predict, rls_fit, schedule_lambda)
-from harmonica.spectrum import (SpectralExpansion, enumerate_spectrum,
-                                expand_spectrum, fit_decay, lambda_table,
-                                mu_eigenvalue)
+from harmonica.krr import (Dataset, Schedule, SourceTarget, learning_curve,
+                           nystrom_eigs, predict, rls_fit, schedule_lambda)
+from harmonica.spectrum import (KAPPA, SpectralExpansion, enumerate_spectrum,
+                                fit_decay, lambda_table, mu_eigenvalue,
+                                operator_values)
 from harmonica.taylor import (cauchy_product, compose, exp_series,
                               geometric_series, power)
 
 from conftest import brute_force_power, brute_force_product, fd_derivative
-from helpers import eigenvalue_windows
+from helpers import canonical_profile, eigenvalue_windows
 
 
 @contextmanager
@@ -108,8 +107,7 @@ def test_criterion_2_funk_hecke_agreement():
                         else:
                             assert abs(fh) < 1e-12, (d, k, alpha)
                 ratios = np.asarray(ratios)
-                kappa = table.kappa
-                assert np.all(np.abs(ratios / kappa - 1.0) <= 1e-6), \
+                assert np.all(np.abs(ratios / KAPPA - 1.0) <= 1e-6), \
                     f"kappa spread {np.ptp(ratios):.3e} at d={d}"
                 # after normalization the table matches quadrature to 1e-6
                 assert np.abs(ratios.max() / ratios.min() - 1.0) <= 1e-6
@@ -158,7 +156,8 @@ def test_criterion_4_anova_vanishing():
             for w in range(n + 1):
                 for combo in itertools.combinations_with_replacement(
                         range(1, k_max + 1), w):
-                    mu = mu_eigenvalue(spec, combo, table)
+                    mu = mu_eigenvalue(spec, canonical_profile(combo, n),
+                                       table)
                     if w > d_star:
                         checked += 1
                         if mu != 0.0:
@@ -184,10 +183,10 @@ def test_criterion_5_decay_law():
             spec = build_kernel([activation("geometric", ratio=ratio),
                                  activation(outer)], n, d, tc)
             table = lambda_table(spec.f1, d, k_max, spec.q_cap)
-            entries = enumerate_spectrum(spec, table, k_max)
-            mass = int(expand_spectrum(entries).size)
+            spectrum = enumerate_spectrum(spec, table, k_max)
+            mass = spectrum.mass
             assert mass >= 2000, f"only {mass} eigenvalues at d={d} n={n}"
-            fit = fit_decay(entries, m_min=20, m_max=min(mass, 20000))
+            fit = fit_decay(spectrum, m_min=20, m_max=min(mass, 20000))
             slope = fit["counting_slope"]
             elapsed = time.perf_counter() - t0
             assert abs(slope - target) <= 0.25 * target, \
@@ -229,8 +228,8 @@ def test_criterion_7_nystrom_consistency():
         for acts, n in configs:
             spec = build_kernel(acts, n, 3)
             table = lambda_table(spec.f1, 3, 20, spec.q_cap)
-            entries = enumerate_spectrum(spec, table, 20)
-            closed = closed_form_top_eigs(spec, table, entries, 10)
+            spectrum = enumerate_spectrum(spec, table, 20)
+            closed = operator_values(spectrum.eigenvalues(0, 10), spec.n)
             nys = nystrom_eigs(spec, 2000, 10, seed=NYSTROM_SEED)
             rel = np.abs(nys - closed) / closed
             assert rel.max() <= 0.10, f"n={n}: max dev {rel.max():.3f}"
@@ -238,14 +237,13 @@ def test_criterion_7_nystrom_consistency():
             # stronger, unbiased check: mean over each full degenerate
             # multiplet agrees to 5%
             full = nystrom_eigs(spec, 2000, 30, seed=NYSTROM_SEED)
-            rank = 0
-            for e in entries:
-                if rank + e.multiplicity > 30:
+            mus = operator_values(spectrum.mu, spec.n)
+            for mu, end, mult in zip(mus, spectrum.ends,
+                                     spectrum.multiplicity):
+                if end > 30:
                     break
-                grp = full[rank:rank + e.multiplicity]
-                mu = e.mu * table.kappa ** spec.n
+                grp = full[end - mult:end]
                 assert abs(grp.mean() - mu) / mu <= 0.05
-                rank += e.multiplicity
 
 
 def test_criterion_8_rls_behavior():

@@ -315,6 +315,13 @@ def test_spectrum_exit_codes_fuzz(kernel, k_max, fit_rank_range):
 @example(kernel={"layers": [{"activation": "exp"}], "n": 1, "d": 2},
          schedule={"beta": 5e-324}, sizes=[3], test_size=2,
          target={"type": "source"})
+# f1 = 0 and a constant g: one feature, the multiset of none of no
+# columns, whose count math.comb refused (exit 1)
+@example(kernel={"layers": [{"activation": "poly", "coeffs": [0.0]},
+                            {"activation": "poly", "coeffs": [0.0]},
+                            {"activation": "exp"}], "n": 1, "d": 2},
+         schedule={"beta": 0.5}, sizes=[3], test_size=1,
+         target={"type": "zero"})
 def test_learning_curve_exit_codes_fuzz(kernel, schedule, sizes, test_size,
                                         target):
     cfg = {"kernel": kernel, "schedule": schedule, "sizes": sizes,
@@ -516,6 +523,29 @@ def test_gram_eig_command(tmp_path):
     _, rows = read_rows(out)
     assert len(rows) == 5
     assert all(float(r[3]) < 0.5 for r in rows)
+
+
+def test_gram_eig_reads_the_top_eigenvalues_without_unrolling(tmp_path):
+    # this spectrum holds 2.8e13 eigenvalues with multiplicity; unrolling
+    # them to read the top 10 needed 207 TiB and exited 2
+    cfg = {"kernel": {"layers": [{"activation": "exp"},
+                                 {"activation": "exp"}], "n": 2, "d": 9},
+           "k_max": 20, "ell": 200, "top_k": 10}
+    rc, out = run(tmp_path, "gram-eig", cfg)
+    assert rc == EXIT_OK
+    _, rows = read_rows(out)
+    assert [r[0] for r in rows] == [str(i) for i in range(1, 11)]
+
+
+def test_spectrum_failed_summary_writes_nothing(tmp_path, monkeypatch):
+    # the summary, fit included, is complete before either file is written
+    def overflow(*args, **kwargs):
+        raise OverflowError("fit left double range")
+
+    monkeypatch.setattr(cli, "fit_decay", overflow)
+    rc, out = run(tmp_path, "spectrum", {"kernel": KERNEL_EI, "k_max": 10})
+    assert rc == EXIT_TOLERANCE
+    assert not out.exists() and not (tmp_path / "out.json").exists()
 
 
 def test_gram_eig_unallocatable_gram_exits_2(tmp_path, capsys):

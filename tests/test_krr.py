@@ -15,15 +15,15 @@ from harmonica.errors import SolverError, StructuralError
 from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import (build_kernel, cross_gram, eval_kernel,
                               feature_gram, features, gram)
-from harmonica.krr import (Dataset, Schedule, SourceTarget,
-                           closed_form_top_eigs, learning_curve, mse,
-                           nystrom_eigs, predict, rls_fit, schedule_lambda)
-from harmonica.spectrum import (canonical_profile, enumerate_spectrum,
-                                lambda_table, mu_eigenvalue)
+from harmonica.krr import (Dataset, Schedule, SourceTarget, learning_curve,
+                           mse, nystrom_eigs, predict, rls_fit,
+                           schedule_lambda)
+from harmonica.spectrum import (enumerate_spectrum, lambda_table,
+                                mu_eigenvalue, operator_values)
 
 from conftest import scalar_zonal_feature
-from helpers import (constant_kernel, pack, peak_rise, rls_objective,
-                     strided_cho_factor, unpack)
+from helpers import (canonical_profile, constant_kernel, pack, peak_rise,
+                     rls_objective, strided_cho_factor, unpack)
 
 EI = [activation("exp"), activation("identity")]
 
@@ -510,8 +510,8 @@ def test_nystrom_nonnegative():
 def test_nystrom_matches_closed_form_top10():
     spec = build_kernel(EI, 1, 3)
     tab = lambda_table(spec.f1, 3, 20, spec.q_cap)
-    entries = enumerate_spectrum(spec, tab, 20)
-    closed = closed_form_top_eigs(spec, tab, entries, 10)
+    closed = operator_values(
+        enumerate_spectrum(spec, tab, 20).eigenvalues(0, 10), spec.n)
     nys = nystrom_eigs(spec, 2000, 10, seed=4)
     np.testing.assert_allclose(nys, closed, rtol=0.10)
 
@@ -745,7 +745,7 @@ def test_source_target_matches_scalar_addition_theorem():
         total = 0.0
         for prof, coeff in profiles:
             prof = canonical_profile(prof, 3)
-            mu = mu_eigenvalue(spec, prof, tab) * tab.kappa ** 3
+            mu = operator_values(mu_eigenvalue(spec, prof, tab), 3)
             term = coeff * mu ** 0.75
             for i, k in enumerate(prof):
                 term *= scalar_zonal_feature(k, 3, x[i], anchor[i])

@@ -14,15 +14,16 @@ from harmonica.image import sample_uniform, sample_uniform_batch
 from harmonica.kernel import (KernelSpec, TruncationConfig, build_kernel,
                               eval_kernel)
 from harmonica import spectrum, taylor
-from harmonica.spectrum import (KAPPA, SpectralExpansion, SpectrumEntry,
-                                canonical_profile, enumerate_spectrum,
-                                expand_spectrum, fit_decay, lambda_table,
+from harmonica.spectrum import (KAPPA, SpectralExpansion, Spectrum,
+                                enumerate_spectrum, fit_decay, lambda_table,
                                 mu_eigenvalue, profile_multiplicity)
 from harmonica.taylor import (compose, exp_series, geometric_series,
                               power, series_from)
 
 from conftest import brute_force_mercer
-from helpers import eigenvalue_windows, fsum_product, gathered_lambda_table
+from helpers import (canonical_profile, eigenvalue_windows, fsum_product,
+                     gathered_lambda_table, per_profile_spectrum,
+                     unrolled_counting_slope)
 
 EXP = exp_series(64)
 
@@ -74,7 +75,7 @@ def test_lambda_matches_quadrature_up_to_kappa():
                     fh = funk_hecke_eigenvalue(fa, k, d)
                     if tab.lam[k, alpha] > 1e-250:
                         ratio = fh / tab.lam[k, alpha]
-                        assert ratio == pytest.approx(tab.kappa, rel=1e-6)
+                        assert ratio == pytest.approx(KAPPA, rel=1e-6)
                     else:
                         assert abs(fh) < 1e-12
 
@@ -283,7 +284,7 @@ def test_mu_single_patch_matches_composed_quadrature():
     for k in range(11):
         mu = mu_eigenvalue(spec, (k,), tab)
         fh = funk_hecke_eigenvalue(gf1, k, 3)
-        assert fh == pytest.approx(tab.kappa * mu, rel=1e-6)
+        assert fh == pytest.approx(KAPPA * mu, rel=1e-6)
 
 
 def test_mu_square_square_composition_oracle():
@@ -355,6 +356,93 @@ def test_mu_outer_degree_beyond_expansion():
                    g=series_from([0.0, 1.0], order=8), n=1, d=3)
 
 
+def _reference_case(name, decay_kernel):
+    """(spec, table, k_max) of a kernel the array spectrum is held to the
+    per-profile enumerator on: the spectrum-decay, nystrom and
+    mercer-reconstruct benchmark kernels, and t^64 -> square at d = 20,
+    where 450 of the 561 multiplicities pass 2^63."""
+    if name == "decay":
+        return (*decay_kernel, 1200)
+    layers, n, d, trunc, k_max = {
+        "nystrom": (["identity", "square"], 2, 3, TruncationConfig(), 20),
+        "mercer": (["exp", "exp"], 2, 3,
+                   TruncationConfig(series_order=128, a_max=24, q_max=24), 16),
+        "d20": ([activation("poly", coeffs=[0.0] * 64 + [1.0]), "square"], 2,
+                20, TruncationConfig(series_order=128), 64),
+    }[name]
+    acts = [a if not isinstance(a, str) else activation(a) for a in layers]
+    spec = build_kernel(acts, n, d, trunc)
+    return spec, lambda_table(spec.f1, d, k_max, spec.q_cap), k_max
+
+
+@pytest.mark.parametrize("name", ["decay", "nystrom", "mercer", "d20"])
+def test_spectrum_matches_the_per_profile_enumerator(name, decay_kernel):
+    spec, table, k_max = _reference_case(name, decay_kernel)
+    got = enumerate_spectrum(spec, table, k_max)
+    want = per_profile_spectrum(spec, table, k_max)
+    assert len(got) == len(want)
+    assert got.profiles.tolist() == [list(p) for p, _, _ in want]
+    mult = got.multiplicity.tolist()
+    assert mult == [m for _, _, m in want]
+    assert all(type(m) is int for m in mult)  # exact, never int64
+    # both mu are dot products of the same nonnegative row with the outer
+    # weights, summed in different orders: each lies within gamma_Q of
+    # the exact sum S, and the two within 2 gamma_Q S of each other
+    q = spec.q_cap + 1
+    gamma = q * (np.finfo(float).eps / 2) / (1 - q * (np.finfo(float).eps / 2))
+    want_mu = np.array([mu for _, mu, _ in want])
+    assert np.all(np.abs(got.mu - want_mu) <= 2 * gamma / (1 - gamma) * want_mu)
+    if name in ("decay", "nystrom"):
+        np.testing.assert_array_equal(got.mu, want_mu)
+    if name == "d20":
+        assert sum(m >= 2 ** 63 for m in mult) == 450
+        assert (mult[got.profiles.tolist().index([16, 16])]
+                == 10504857233840062500)
+
+
+def test_mu_eigenvalue_takes_any_profile_array():
+    spec = build_kernel([activation("exp"), activation("exp")], 3, 3)
+    tab = lambda_table(spec.f1, 3, 5, spec.q_cap)
+    rows = np.array([[2, 1, 0], [0, 1, 2], [5, 5, 5], [0, 0, 0]])
+    got = mu_eigenvalue(spec, rows.reshape(2, 2, 3), tab)
+    assert got.shape == (2, 2)
+    # each row is sorted first, so a permuted row gives the same bits
+    assert got[0, 0] == got[0, 1]
+    for row, mu in zip(rows, got.ravel()):
+        one = mu_eigenvalue(spec, row, tab)
+        assert np.shape(one) == () and mu == pytest.approx(one, rel=1e-15)
+    for bad in ([1, 0], [[1, 0, 0, 0]], 3):
+        with pytest.raises(ValueError, match="3 degrees each"):
+            mu_eigenvalue(spec, bad, tab)
+    with pytest.raises(ValueError):
+        mu_eigenvalue(spec, [1, -1, 0], tab)
+    with pytest.raises(TruncationError):
+        mu_eigenvalue(spec, rows + 1, tab)
+
+
+def test_rank_reads_unroll_only_what_they_return():
+    # exp -> exp at n = 2, d = 9, k_max = 20 holds 2.8e13 eigenvalues: an
+    # unrolled copy would be 207 TiB, which numpy refuses at once
+    spec = build_kernel([activation("exp"), activation("exp")], 2, 9)
+    eigs = enumerate_spectrum(spec, lambda_table(spec.f1, 9, 20, spec.q_cap),
+                              20)
+    assert eigs.mass == 28389502112400
+    top = eigs.eigenvalues(0, 10)
+    mult = eigs.multiplicity.tolist()
+    assert top.tolist() == [eigs.mu[0]] * mult[0] + [eigs.mu[1]] * (10 - mult[0])
+    window = eigs.eigenvalues(eigs.mass - 5, eigs.mass + 5)
+    assert window.tolist() == [eigs.mu[-1]] * 5
+    assert np.isfinite(spectrum.counting_slope(eigs))
+
+
+@pytest.mark.parametrize("name", ["decay", "mercer"])
+def test_counting_slope_matches_the_unrolled_reads(name, decay_kernel):
+    eigs = (_mercer_spectrum() if name == "mercer"
+            else enumerate_spectrum(*decay_kernel, 1200))
+    full = np.repeat(eigs.mu, eigs.multiplicity.astype(np.int64))
+    assert spectrum.counting_slope(eigs) == unrolled_counting_slope(full)
+
+
 def test_profile_multiplicities():
     # d=3, degrees <= 1, n=2: multiplicities 1, 6, 9
     assert profile_multiplicity(canonical_profile((0, 0), 2), 3) == 1
@@ -365,32 +453,39 @@ def test_profile_multiplicities():
 def test_enumerate_spectrum_degree_one():
     spec = build_kernel([activation("exp"), activation("square")], 2, 3)
     tab = lambda_table(spec.f1, 3, 1, spec.q_cap)
-    entries = enumerate_spectrum(spec, tab, 1)
-    assert {e.profile for e in entries} == {(0, 0), (1, 0), (1, 1)}
-    assert sum(e.multiplicity for e in entries) == 16
-    mus = [e.mu for e in entries]
+    eigs = enumerate_spectrum(spec, tab, 1)
+    assert len(eigs) == 3
+    assert ({tuple(p) for p in eigs.profiles.tolist()}
+            == {(0, 0), (1, 0), (1, 1)})
+    assert eigs.mass == sum(eigs.multiplicity.tolist()) == 16
+    mus = eigs.mu.tolist()
     assert mus == sorted(mus, reverse=True)
 
 
-def test_expand_spectrum_unrolls_multiplicities():
-    entries = [SpectrumEntry((1, 0), 2.0, 6), SpectrumEntry((0, 0), 1.0, 1),
-               SpectrumEntry((1, 1), 0.5, 9)]
-    assert expand_spectrum(entries).size == 16
-    assert expand_spectrum(entries, limit=7).tolist() == [2.0] * 6 + [1.0]
+def test_eigenvalues_unroll_multiplicities():
+    eigs = Spectrum([(1, 0), (0, 0), (1, 1)], [2.0, 1.0, 0.5], [6, 1, 9])
+    assert eigs.eigenvalues().size == eigs.mass == 16
+    assert eigs.eigenvalues(0, 7).tolist() == [2.0] * 6 + [1.0]
+    assert eigs.ends.tolist() == [6, 7, 16]
+    # any window reads what the whole unrolled sequence holds there
+    full = np.repeat([2.0, 1.0, 0.5], [6, 1, 9])
+    for start in range(18):
+        for stop in range(18):
+            np.testing.assert_array_equal(eigs.eigenvalues(start, stop),
+                                          full[start:stop])
 
 
 def test_enumerate_prunes_interactions_at_d_star():
     # linear outer: no profile with two nonzero degrees survives
     spec = build_kernel([activation("exp"), activation("identity")], 2, 3)
     tab = lambda_table(spec.f1, 3, 6, spec.q_cap)
-    entries = enumerate_spectrum(spec, tab, 6)
-    assert all(sum(1 for k in e.profile if k) <= 1 for e in entries)
+    eigs = enumerate_spectrum(spec, tab, 6)
+    assert np.count_nonzero(eigs.profiles, axis=1).max() == 1
 
 
 def test_fit_decay_exact_model_recovery():
     mus = [math.exp(-2.0 * m ** 0.25) for m in range(400)]
-    entries = [SpectrumEntry((0,), mu, 1) for mu in mus]
-    fit = fit_decay(entries)
+    fit = fit_decay(Spectrum(np.zeros((400, 1)), mus, np.ones(400)))
     assert fit["exponent_p"] == pytest.approx(4.0, abs=1e-9)
     assert fit["gamma"] == pytest.approx(2.0, abs=1e-6)
     assert fit["goodness"] == pytest.approx(1.0, abs=1e-12)
@@ -410,7 +505,7 @@ def test_line_fit_matches_polyfit(p):
         assert abs(intercept - want_intercept) <= 1e-12 * np.abs(y).max()
 
 
-def _mercer_entries():
+def _mercer_spectrum():
     """The mercer-reconstruct benchmark kernel's spectrum (83,521
     eigenvalues; the nystrom kernel's has 20, too few for a fit)."""
     spec = build_kernel([activation("exp"), activation("exp")], 2, 3,
@@ -422,16 +517,16 @@ def _mercer_entries():
 @pytest.mark.parametrize("name", ["decay", "decay-window", "mercer"])
 def test_fit_decay_picks_the_polyfit_exponent(name, decay_kernel, monkeypatch):
     if name == "mercer":
-        entries, window = _mercer_entries(), {}
+        eigs, window = _mercer_spectrum(), {}
     else:
         spec, table = decay_kernel
-        entries = enumerate_spectrum(spec, table, 1200)
+        eigs = enumerate_spectrum(spec, table, 1200)
         # the benchmark config's fit_rank_range, as cmd_spectrum clips it
         window = {"m_min": 20, "m_max": 2401} if name == "decay-window" else {}
-    got = fit_decay(entries, **window)
+    got = fit_decay(eigs, **window)
     monkeypatch.setattr(spectrum, "_line_fit",
                         lambda x, y: tuple(np.polyfit(x, y, 1)))
-    want = fit_decay(entries, **window)
+    want = fit_decay(eigs, **window)
     assert got["exponent_p"] == want["exponent_p"]
     for key in ("gamma", "goodness", "counting_slope"):
         assert got[key] == pytest.approx(want[key], rel=1e-12), key
@@ -443,7 +538,7 @@ def test_fit_decay_needs_no_lapack(monkeypatch):
 
     monkeypatch.setattr(np, "polyfit", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
-    fit = fit_decay(_mercer_entries())
+    fit = fit_decay(_mercer_spectrum())
     assert np.isfinite(fit["counting_slope"]) and fit["gamma"] > 0
 
 
@@ -463,13 +558,13 @@ def test_counting_slope_matches_unique_grid(name, decay_kernel, monkeypatch):
     # the rank grid and the eigenvalue grid are monotone, so dropping
     # consecutive repeats gives np.unique's grids, and the same slope
     if name == "mercer":
-        entries = _mercer_entries()
+        eigs = _mercer_spectrum()
     else:
         spec, table = decay_kernel
-        entries = enumerate_spectrum(spec, table, 1200)
-    got = spectrum.counting_slope(entries)
+        eigs = enumerate_spectrum(spec, table, 1200)
+    got = spectrum.counting_slope(eigs)
     monkeypatch.setattr(spectrum, "_distinct_sorted", np.unique)
-    assert got == spectrum.counting_slope(entries)
+    assert got == spectrum.counting_slope(eigs)
 
 
 def test_factorials_built_once_per_size_and_read_only():
@@ -480,10 +575,10 @@ def test_factorials_built_once_per_size_and_read_only():
 
 
 def test_fit_decay_guards():
-    few = [SpectrumEntry((0,), 1.0, 1)] * 50
+    few = Spectrum(np.zeros((50, 1)), np.ones(50), np.ones(50))
     with pytest.raises(FitError):
         fit_decay(few)
-    flat = [SpectrumEntry((0,), 1.0, 1)] * 200
+    flat = Spectrum(np.zeros((200, 1)), np.ones(200), np.ones(200))
     with pytest.raises(FitError):
         fit_decay(flat)
 
@@ -518,7 +613,6 @@ def test_reconstruction_covers_integral_activations():
         spec = build_kernel([activation(inner), activation("square")], 2, 3,
                             TruncationConfig(series_order=96))
         tab = lambda_table(spec.f1, 3, 20, spec.q_cap)
-        assert tab.kappa == pytest.approx(2.0, rel=1e-9)
         expansion = SpectralExpansion(spec, tab, 20)
         scale = spec.diag_value()
         xs = [sample_uniform(2, 3, (31, i)) for i in range(5)]

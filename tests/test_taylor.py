@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonica.errors import ConvergenceError, TruncationCapError
+from harmonica.errors import ConvergenceError, TruncationError
 from harmonica.taylor import (DEFAULT_L_MAX, MAX_ORDER, CoeffSeries,
                               cauchy_product, compose, composition_tail,
                               eval_series, exp_series, geometric_series,
@@ -322,10 +322,10 @@ def test_geometric_power_coefficient_window():
 
 
 def test_order_cap():
-    with pytest.raises(TruncationCapError):
+    with pytest.raises(TruncationError):
         series_from([0.0] * 5000)
     a = series_from([1.0, 1.0])
-    with pytest.raises(TruncationCapError):
+    with pytest.raises(TruncationError):
         cauchy_product(a, a, 5000)
 
 

@@ -4,11 +4,12 @@
 ``getattr`` on the module (or class) where its caller finds it, so deleting
 or moving one of those names breaks the traced benchmark run. These tests
 run ``install()`` with a tracer that only checks each name, and pin the
-calls the traced metrics rest on: the per-profile ``mu_eigenvalue`` calls
-that ``spectrum.enum_yield`` divides by, and the Gram that the Nystrom
-eigensolver and the RLS fit get through ``krr.gram``, which
-``kernel.gram_s`` times and ``kernel.entries`` counts, and the one batched
-``cli.eval_kernel`` call of ``reconstruct``, which ``kernel.eval_s`` times.
+calls the traced metrics rest on: the ``mu_eigenvalue`` call, on every
+enumerated profile at once, that ``spectrum.enum_yield`` divides by, the
+Gram that the Nystrom eigensolver and the RLS fit get through
+``krr.gram``, which ``kernel.gram_s`` times and ``kernel.entries`` counts,
+and the one batched ``cli.eval_kernel`` call of ``reconstruct``, which
+``kernel.eval_s`` times.
 """
 
 import importlib
@@ -45,23 +46,28 @@ def test_traced_names_exist(monkeypatch):
     assert "spectrum.mu" in tracer.wrapped and "kernel.eval" in tracer.wrapped
 
 
-def test_enumerate_spectrum_calls_mu_eigenvalue_per_profile(monkeypatch):
-    # spectrum.enum_yield is enumerated entries / mu_eigenvalue calls, taken
-    # whenever enumerate_spectrum ran: a batched enumeration that never calls
-    # the module's mu_eigenvalue would divide by zero
+def test_enumerate_spectrum_calls_mu_eigenvalue_on_every_profile(
+        monkeypatch):
+    # spectrum.enum_yield is enumerated rows / mu_eigenvalue calls, taken
+    # whenever enumerate_spectrum ran: an enumeration that never calls the
+    # module's mu_eigenvalue would divide by zero. One call takes an array
+    # holding every enumerated profile
     calls = []
     real = spectrum.mu_eigenvalue
 
-    def counted(spec, profile, table):
-        calls.append(profile)
-        return real(spec, profile, table)
+    def counted(spec, profiles, table):
+        calls.append({tuple(row) for row in
+                      np.sort(profiles, axis=-1)[..., ::-1].reshape(
+                          -1, spec.n).tolist()})
+        return real(spec, profiles, table)
 
     monkeypatch.setattr(spectrum, "mu_eigenvalue", counted)
     spec = build_kernel([activation("exp"), activation("exp")], 2, 3)
     table = spectrum.lambda_table(spec.f1, 3, 6, spec.q_cap)
-    entries = spectrum.enumerate_spectrum(spec, table, 6)
-    assert len(calls) >= len(entries) > 0
-    assert {e.profile for e in entries} <= set(calls)
+    eigs = spectrum.enumerate_spectrum(spec, table, 6)
+    enumerated = {tuple(row) for row in eigs.profiles.tolist()}
+    assert len(eigs) == len(enumerated) > 0
+    assert any(enumerated <= rows for rows in calls)
 
 
 def test_nystrom_and_rls_fit_get_their_gram_through_krr_gram(monkeypatch):
